@@ -3,6 +3,10 @@
 # perf-regression gate (fails when the engine-vs-reference speedup, the
 # vectorized workload generation, the autoscaler's node-seconds savings,
 # or the control plane's Pareto domination drops below its pinned floor);
+# `make bench` runs the serving-simulator benchmark (perfbench/: every
+# workload's end-to-end metrics, checked against its committed result
+# fingerprint); `make bench-selftest` is its quick gate (two repetitions
+# of each workload must reproduce perfbench/fingerprints.json);
 # `make lint` byte-compiles every tree and
 # checks the suite still collects (no external linters are assumed in the
 # container); `make docstrings-check` fails on undocumented public API in
@@ -13,8 +17,8 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench-smoke perf-smoke lint check examples-smoke docs-check \
-	docstrings-check profile profile-fast
+.PHONY: test bench-smoke perf-smoke bench bench-selftest lint check \
+	examples-smoke docs-check docstrings-check profile profile-fast
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -34,6 +38,12 @@ perf-smoke:
 		benchmarks/test_cluster_cache.py \
 		benchmarks/test_ablation_scheduler.py \
 		benchmarks/test_geo_serving.py
+
+bench:
+	$(PYTHON) perfbench/run.py --workload all
+
+bench-selftest:
+	$(PYTHON) -m pytest perfbench/selftest.py -q
 
 lint:
 	$(PYTHON) -m compileall -q src tests benchmarks examples

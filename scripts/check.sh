@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI entry point: lint (byte-compile + collect), the docstring coverage
 # gate, tier-1 tests, a quick benchmark smoke pass, the perf-regression
-# smoke (pinned speedup / node-seconds-savings floors), and the docs
-# link check. Mirrors the Makefile targets for environments without make.
+# smoke (pinned speedup / node-seconds-savings floors), the perf
+# benchmark's fingerprint self-test, and the docs link check. Mirrors
+# the Makefile targets for environments without make.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
@@ -28,6 +29,9 @@ python -m pytest -q \
     benchmarks/test_runtime_switching.py \
     benchmarks/test_autoscaling.py \
     benchmarks/test_cluster_cache.py
+
+echo "== benchmark self-test (committed result fingerprints) =="
+python -m pytest perfbench/selftest.py -q
 
 echo "== docs link check =="
 python scripts/check_links.py

@@ -14,6 +14,7 @@ precomputed.
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,50 @@ def zipf_popularity_cdf(n_rows: int, alpha: float = 1.05) -> np.ndarray:
     np.cumsum(weights / weights.sum(), out=cdf[1:])
     cdf[-1] = 1.0
     return cdf
+
+
+def zipf_static_hit_rates(
+    cardinalities: Sequence[int],
+    capacity_entries: Sequence[int],
+    alpha: float = 1.05,
+) -> list[float]:
+    """Static-residency encoder-cache hit rate under Zipf(alpha) traffic,
+    one rate per entry of ``capacity_entries``.
+
+    A cache of ``c`` entries splits them evenly across the tables, as
+    :meth:`EncoderCache.fit_static` does, so a table of ``n`` rows keeps
+    its ``k = min(c // len(cardinalities), n)`` hottest rows. Its hit rate
+    is the head mass ``sum(r**-alpha for r <= k)`` over the normaliser
+    ``sum(r**-alpha for r <= n)``; the result is the mean over tables.
+
+    Each table's weights are computed once, into one buffer sized to the
+    largest table, and every capacity's head is read off that buffer, so
+    pricing any number of caches costs O(total rows) arithmetic and
+    O(largest table) memory. The arithmetic is the one
+    :class:`~repro.data.zipf.ZipfSampler` and :meth:`EncoderCache.
+    expected_hit_rate` perform, so the rates are bit-identical to fitting
+    an :class:`EncoderCache` over unshuffled samplers.
+    """
+    if not cardinalities or min(cardinalities) <= 0:
+        raise ValueError("need at least one table, every one non-empty")
+    if min(capacity_entries, default=0) < 0:
+        raise ValueError("capacity_entries must be non-negative")
+    if alpha < 0:
+        raise ValueError("alpha must be non-negative")
+    if not capacity_entries:
+        return []
+    largest = max(cardinalities)
+    ranks = np.arange(1, largest + 1, dtype=np.float64)
+    weights = np.empty(largest, dtype=np.float64)
+    heads = [c // len(cardinalities) for c in capacity_entries]
+    rates: list[list[float]] = [[] for _ in heads]
+    for n in cardinalities:
+        table = np.power(ranks[:n], -alpha, out=weights[:n])
+        total = table.sum()
+        for head, per_table in zip(heads, rates):
+            k = min(head, n)
+            per_table.append(float((table[:k] / total).sum()) if k else 0.0)
+    return [float(np.mean(per_table)) for per_table in rates]
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.sharding import greedy_shard
-from repro.core.mp_cache import CacheEffect, DecoderCentroidCache, EncoderCache
+from repro.core.mp_cache import (
+    CacheEffect,
+    DecoderCentroidCache,
+    row_entry_bytes,
+    zipf_static_hit_rates,
+)
 from repro.core.offline import MappingPlan, OfflinePlanner
 from repro.core.online import (
     MultiPathScheduler,
@@ -19,10 +24,10 @@ from repro.core.online import (
     StaticScheduler,
     TableSwitchScheduler,
 )
+from repro.core.paths import ExecutionPath
 from repro.core.profiler import make_path
 from repro.core.representations import RepresentationConfig, paper_configs
 from repro.core.switching import SwitchController
-from repro.data.zipf import ZipfSampler
 from repro.hardware.catalog import CPU_BROADWELL, GPU_V100
 from repro.hardware.device import GB, MB, DeviceSpec
 from repro.hardware.topology import ETHERNET_100G, LinkSpec
@@ -84,19 +89,41 @@ def default_cache_effect(
 ) -> CacheEffect:
     """MP-Cache effect with the paper's default sizing (2 MB encoder cache,
     centroid kNN decoder), computed analytically from the traffic model."""
-    samplers = [
-        ZipfSampler(rows, alpha=zipf_alpha, seed=f)
-        for f, rows in enumerate(model.cardinalities)
-    ]
-    encoder = EncoderCache(capacity_bytes, rep.embedding_dim)
-    encoder.fit_static(samplers)
-    hit_rate = encoder.expected_hit_rate(samplers)
-    decoder = DecoderCentroidCache(n_centroids)
-    return CacheEffect(
-        encoder_hit_rate=hit_rate,
-        decoder_speedup=decoder.speedup(rep),
-        accuracy_penalty=0.002,
+    return _cache_effects(
+        model, [rep], capacity_bytes, n_centroids, zipf_alpha
+    )[rep]
+
+
+_NO_CACHE = CacheEffect(
+    encoder_hit_rate=0.0, decoder_speedup=1.0, accuracy_penalty=0.0
+)
+
+
+def _cache_effects(
+    model: ModelConfig,
+    reps: list[RepresentationConfig],
+    capacity_bytes: int = 2 * MB,
+    n_centroids: int = 256,
+    zipf_alpha: float = 1.05,
+) -> dict[RepresentationConfig, CacheEffect]:
+    """:func:`default_cache_effect` for several representations at once:
+    the tables' Zipf normalisers are computed once and every distinct
+    representation is priced off them (see ``zipf_static_hit_rates``)."""
+    reps = list(dict.fromkeys(reps))
+    hit_rates = zipf_static_hit_rates(
+        model.cardinalities,
+        [capacity_bytes // row_entry_bytes(rep.embedding_dim) for rep in reps],
+        zipf_alpha,
     )
+    decoder = DecoderCentroidCache(n_centroids)
+    return {
+        rep: CacheEffect(
+            encoder_hit_rate=hit_rate,
+            decoder_speedup=decoder.speedup(rep),
+            accuracy_penalty=0.002,
+        )
+        for rep, hit_rate in zip(reps, hit_rates)
+    }
 
 
 def build_plan(
@@ -107,6 +134,34 @@ def build_plan(
     estimator = QualityEstimator(dataset_for(model))
     planner = OfflinePlanner(model, estimator)
     return planner.plan(devices if devices is not None else hw1_devices())
+
+
+def _mp_paths(
+    model: ModelConfig, devices: list[DeviceSpec], with_cache: bool
+) -> dict[str, list[ExecutionPath]]:
+    """MP-Rec's execution paths by device: the offline plan's mappings,
+    DHE-bearing ones carrying the MP-Cache effect (each distinct
+    representation priced once) unless ``with_cache`` is off."""
+    plan = build_plan(model, devices)
+    effects = _cache_effects(model, [
+        rep for reps in plan.mappings.values() for rep in reps
+        if rep.uses_dhe and with_cache
+    ])
+    paths: dict[str, list[ExecutionPath]] = {}
+    for device_name, reps in plan.mappings.items():
+        device = plan.devices[device_name]
+        for rep in reps:
+            effect = effects.get(rep, _NO_CACHE)
+            path = make_path(
+                rep, model, device,
+                plan.accuracies[rep.display] - effect.accuracy_penalty,
+                encoder_hit_rate=effect.encoder_hit_rate,
+                decoder_speedup=effect.decoder_speedup,
+                label=f"{rep.kind.upper()}({device.kind.upper()})",
+            )
+            path.extra["model"] = model
+            paths.setdefault(device_name, []).append(path)
+    return paths
 
 
 def build_schedulers(
@@ -121,59 +176,31 @@ def build_schedulers(
     estimator = QualityEstimator(dataset_for(model))
     configs = paper_configs(model)
 
-    def static(rep_name: str, device: DeviceSpec) -> StaticScheduler | None:
-        rep = configs[rep_name]
-        if rep.total_bytes(model) > device.total_memory:
-            return None
-        path = make_path(
-            rep, model, device, estimator.accuracy(rep),
-            label=f"{rep_name.upper()}({device.kind.upper()})",
-        )
-        path.extra["model"] = model
-        return StaticScheduler([path])
-
     schedulers: dict[str, Scheduler] = {}
-    for rep_name in ("table", "dhe", "hybrid"):
-        for device in (cpu, gpu):
-            sched = static(rep_name, device)
-            if sched is not None:
-                schedulers[f"{rep_name}-{device.kind}"] = sched
-
-    # Table-only CPU<->GPU switching baseline.
     table_paths = []
-    for device in (cpu, gpu):
-        rep = configs["table"]
-        if rep.total_bytes(model) <= device.total_memory:
+    for rep_name in ("table", "dhe", "hybrid"):
+        rep = configs[rep_name]
+        for device in (cpu, gpu):
+            if rep.total_bytes(model) > device.total_memory:
+                continue
             path = make_path(
                 rep, model, device, estimator.accuracy(rep),
-                label=f"TABLE({device.kind.upper()})",
+                label=f"{rep_name.upper()}({device.kind.upper()})",
             )
             path.extra["model"] = model
-            table_paths.append(path)
+            schedulers[f"{rep_name}-{device.kind}"] = StaticScheduler([path])
+            if rep_name == "table":
+                table_paths.append(path)
+    # Table-only CPU<->GPU switching baseline.
     if table_paths:
         schedulers["table-switch"] = TableSwitchScheduler(table_paths)
 
     # MP-Rec: offline plan -> cached execution paths -> Algorithm 2.
-    plan = build_plan(model, devices)
-    mp_paths = []
-    for device_name, reps in plan.mappings.items():
-        device = plan.devices[device_name]
-        for rep in reps:
-            if rep.uses_dhe and with_cache:
-                effect = default_cache_effect(model, rep)
-                hit, speed = effect.encoder_hit_rate, effect.decoder_speedup
-                accuracy = plan.accuracies[rep.display] - effect.accuracy_penalty
-            else:
-                hit, speed = 0.0, 1.0
-                accuracy = plan.accuracies[rep.display]
-            path = make_path(
-                rep, model, device, accuracy,
-                encoder_hit_rate=hit, decoder_speedup=speed,
-                label=f"{rep.kind.upper()}({device.kind.upper()})",
-            )
-            path.extra["model"] = model
-            mp_paths.append(path)
-    schedulers["mp-rec"] = MultiPathScheduler(mp_paths)
+    schedulers["mp-rec"] = MultiPathScheduler([
+        path
+        for paths in _mp_paths(model, devices, with_cache).values()
+        for path in paths
+    ])
     return schedulers
 
 
@@ -201,25 +228,7 @@ def build_switching(
     :class:`~repro.serving.cluster.ClusterSimulator`.
     """
     devices = devices if devices is not None else hw1_devices()
-    plan = build_plan(model, devices)
-    candidates: dict[str, list] = {}
-    for device_name, reps in plan.mappings.items():
-        device = plan.devices[device_name]
-        for rep in reps:
-            if rep.uses_dhe and with_cache:
-                effect = default_cache_effect(model, rep)
-                hit, speed = effect.encoder_hit_rate, effect.decoder_speedup
-                accuracy = plan.accuracies[rep.display] - effect.accuracy_penalty
-            else:
-                hit, speed = 0.0, 1.0
-                accuracy = plan.accuracies[rep.display]
-            path = make_path(
-                rep, model, device, accuracy,
-                encoder_hit_rate=hit, decoder_speedup=speed,
-                label=f"{rep.kind.upper()}({device.kind.upper()})",
-            )
-            path.extra["model"] = model
-            candidates.setdefault(device_name, []).append(path)
+    candidates = _mp_paths(model, devices, with_cache)
     residents = []
     for device_name, paths in candidates.items():
         preferred = [p for p in paths if p.kind == initial]
@@ -327,17 +336,31 @@ def build_cluster(
     ``max_batch_size``, ``max_queue``, ``fail_at``, ``fail_node``,
     ``hot_fraction``, ``cache_alpha``, ``cache_hot_rows``, ...).
     """
-    schedulers = build_schedulers(model, devices, with_cache=with_cache)
+    return _assemble_cluster(
+        model, build_schedulers(model, devices, with_cache=with_cache),
+        n_nodes, scheduler, router=router, replication=replication,
+        link=link, cache_bytes=cache_bytes, cache_policy=cache_policy,
+        **cluster_kwargs,
+    )
+
+
+def _assemble_cluster(
+    model: ModelConfig,
+    schedulers: dict[str, Scheduler],
+    n_nodes: int,
+    scheduler: str = "mp-rec",
+    **cluster_kwargs,
+) -> ClusterSimulator:
+    """A cluster running ``schedulers[scheduler]`` on every node over the
+    model's greedy-LPT sharding plan; the scheduler object is shared, as
+    :class:`~repro.serving.cluster.ClusterSimulator` shares it across
+    its nodes."""
     if scheduler not in schedulers:
         raise ValueError(
             f"unknown scheduler {scheduler!r}; have {sorted(schedulers)}"
         )
     plan = greedy_shard(model.cardinalities, model.embedding_dim, n_nodes)
-    return ClusterSimulator(
-        schedulers[scheduler], plan, router=router, replication=replication,
-        link=link, cache_bytes=cache_bytes, cache_policy=cache_policy,
-        **cluster_kwargs,
-    )
+    return ClusterSimulator(schedulers[scheduler], plan, **cluster_kwargs)
 
 
 def run_cluster_serving(
@@ -555,13 +578,14 @@ def build_regions(
     **kwargs,
 ) -> RegionSimulator:
     """Assemble a geo fleet: ``n_regions`` identical serving clusters
-    (each via :func:`build_cluster`, with the contiguous ``node_base``
-    offsets region composition requires) behind one WAN link and one
-    geo router.  ``kwargs`` split by destination: region-tier knobs
-    (``spill_margin``, ``fail_region``, ``fail_at``, ``bytes_per_query``,
-    ``region_cache_bytes``) go to the
-    :class:`~repro.serving.region.RegionSimulator`; the rest forward to
-    every member's :func:`build_cluster` call."""
+    (each as :func:`build_cluster` would build it, with the contiguous
+    ``node_base`` offsets region composition requires) behind one WAN
+    link and one geo router.  The scheduler set is built once and every
+    member cluster runs the same scheduler object.  ``kwargs`` split by
+    destination: region-tier knobs (``spill_margin``, ``fail_region``,
+    ``fail_at``, ``bytes_per_query``, ``region_cache_bytes``) go to the
+    :class:`~repro.serving.region.RegionSimulator`; the rest are
+    :func:`build_cluster` arguments for every member."""
     if n_regions < 1:
         raise ValueError("n_regions must be >= 1")
     if nodes_per_region < 1:
@@ -575,11 +599,15 @@ def build_regions(
         "region_cache_bytes",
     )
     region_kwargs = {k: kwargs.pop(k) for k in region_keys if k in kwargs}
+    schedulers = build_schedulers(
+        model, kwargs.pop("devices", None),
+        with_cache=kwargs.pop("with_cache", True),
+    )
     regions = [
         (
             region_names[i],
-            build_cluster(
-                model, nodes_per_region,
+            _assemble_cluster(
+                model, schedulers, nodes_per_region,
                 node_base=i * nodes_per_region, **kwargs,
             ),
         )

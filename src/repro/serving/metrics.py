@@ -25,7 +25,8 @@ drop-heavy cluster report *higher* samples/s than a healthy one.
 
 from __future__ import annotations
 
-from collections import Counter
+import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -524,7 +525,9 @@ class StreamingMetrics:
         self.total_samples = 0
         self._correct_sum = 0.0
         self._compliant_correct_sum = 0.0
-        self._accuracy_weighted_sum = 0.0
+        # Exact served-sample counts per accuracy: the weighted mean formed
+        # from them on read does not depend on the order of observation.
+        self._samples_by_accuracy: defaultdict[float, int] = defaultdict(int)
         self._energy_sum = 0.0
         self._max_finish = 0.0
         self._path_counts: Counter[str] = Counter()
@@ -559,7 +562,7 @@ class StreamingMetrics:
         latency = finish_s - arrival_s
         correct = size * accuracy / 100.0
         self._correct_sum += correct
-        self._accuracy_weighted_sum += accuracy * size
+        self._samples_by_accuracy[accuracy] += size
         self._energy_sum += energy_j
         if latency > sla:
             self.n_violations += 1
@@ -590,11 +593,11 @@ class StreamingMetrics:
         scalars or per-query arrays; ``slas=None`` applies the run-level
         target. ``dropped`` marks the whole chunk as shed.
 
-        Counter metrics (throughput, violation/drop rates, breakdowns)
-        are exactly the per-sample values; the reservoir consumes its
-        uniforms bit-identically; summed floats and P² percentile
-        estimates agree to accumulation order / estimator accuracy —
-        pinned in ``tests/property/test_prop_engine_parity.py``.
+        Counter metrics (throughput, violation/drop rates, mean accuracy,
+        breakdowns) are exactly the per-sample values; the reservoir
+        consumes its uniforms bit-identically; summed floats and P²
+        percentile estimates agree to accumulation order / estimator
+        accuracy — pinned in ``tests/property/test_prop_engine_parity.py``.
         """
         sizes = np.asarray(sizes, dtype=np.int64)
         m = int(sizes.size)
@@ -619,11 +622,16 @@ class StreamingMetrics:
         accuracy = np.broadcast_to(
             np.asarray(accuracies, dtype=np.float64), (m,)
         )
-        self.total_samples += int(sizes.sum())
+        served = int(sizes.sum())
+        self.total_samples += served
+        if np.ndim(accuracies) == 0 or (accuracy == accuracy[0]).all():
+            self._samples_by_accuracy[float(accuracy[0])] += served
+        else:
+            for value, n in zip(accuracy.tolist(), sizes.tolist()):
+                self._samples_by_accuracy[value] += n
         latency = finishes - arrivals
         correct = sizes * accuracy / 100.0
         self._correct_sum += float(correct.sum())
-        self._accuracy_weighted_sum += float((accuracy * sizes).sum())
         if np.ndim(energies):
             self._energy_sum += float(
                 np.asarray(energies, dtype=np.float64).sum()
@@ -703,7 +711,10 @@ class StreamingMetrics:
         """Sample-weighted accuracy of served predictions (percent)."""
         if self.total_samples == 0:
             return 0.0
-        return self._accuracy_weighted_sum / self.total_samples
+        weighted = math.fsum(
+            accuracy * n for accuracy, n in self._samples_by_accuracy.items()
+        )
+        return weighted / self.total_samples
 
     @property
     def total_energy_j(self) -> float:

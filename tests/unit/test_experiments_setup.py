@@ -2,11 +2,14 @@ import pytest
 
 from repro.core.mp_cache import CacheEffect
 from repro.core.representations import paper_configs
+from repro.data.zipf import ZipfSampler
 from repro.experiments.setup import (
     HW1,
     HW2,
     build_plan,
+    build_regions,
     build_schedulers,
+    build_switching,
     dataset_for,
     default_cache_effect,
     hw1_devices,
@@ -78,3 +81,35 @@ class TestBuildSchedulers:
         schedulers = build_schedulers(KAGGLE)
         mp = schedulers["mp-rec"]
         assert len(mp.paths) == sum(len(reps) for reps in plan.mappings.values())
+
+
+class TestSetupCost:
+    """Set-up prices MP-Cache analytically and builds schedulers once."""
+
+    @pytest.fixture
+    def no_samplers(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("set-up built a ZipfSampler")
+
+        monkeypatch.setattr(ZipfSampler, "__init__", refuse)
+
+    def test_builders_construct_no_sampler(self, no_samplers):
+        mp = build_schedulers(KAGGLE)["mp-rec"]
+        assert any(path.encoder_hit_rate > 0 for path in mp.paths)
+        build_switching(KAGGLE)
+        build_regions(KAGGLE, 3, nodes_per_region=2, cache_bytes=1 << 20)
+
+    def test_region_members_share_one_scheduler(self, no_samplers):
+        sim = build_regions(KAGGLE, 3, nodes_per_region=2)
+        schedulers = {
+            id(sched) for _, cluster in sim.regions
+            for sched in cluster.schedulers
+        }
+        assert len(schedulers) == 1
+
+    def test_distinct_reps_priced_as_default_cache_effect(self):
+        for path in build_schedulers(KAGGLE)["mp-rec"].paths:
+            if path.rep.uses_dhe:
+                effect = default_cache_effect(KAGGLE, path.rep)
+                assert path.encoder_hit_rate == effect.encoder_hit_rate
+                assert path.decoder_speedup == effect.decoder_speedup

@@ -6,10 +6,13 @@ from repro.core.mp_cache import (
     DecoderCentroidCache,
     EncoderCache,
     MPCache,
+    row_entry_bytes,
+    zipf_static_hit_rates,
 )
 from repro.core.representations import RepresentationConfig
 from repro.data.zipf import ZipfSampler
 from repro.embeddings.dhe import DHEEmbedding
+from repro.models.configs import KAGGLE, KAGGLE_MINI, TERABYTE
 
 
 @pytest.fixture
@@ -235,3 +238,77 @@ class TestCacheEffectAndMPCache:
             RepresentationConfig("dhe", 16, k=64, dnn=32, h=1), samplers
         )
         assert effect.decoder_speedup == 1.0
+
+
+class _SamplersOneAtATime:
+    """A model's per-table samplers, built on each pass and dropped after
+    use, so the reference holds one table's arrays at a time (KAGGLE's
+    full set is ~540 MB)."""
+
+    def __init__(self, cardinalities, alpha):
+        self.cardinalities = cardinalities
+        self.alpha = alpha
+
+    def __len__(self):
+        return len(self.cardinalities)
+
+    def __iter__(self):
+        for f, rows in enumerate(self.cardinalities):
+            yield ZipfSampler(rows, alpha=self.alpha, seed=f)
+
+
+def sampler_hit_rate(cardinalities, capacity_bytes, dim, alpha):
+    """The reference: fit a static EncoderCache over Zipf samplers."""
+    samplers = _SamplersOneAtATime(cardinalities, alpha)
+    cache = EncoderCache(capacity_bytes, dim)
+    cache.fit_static(samplers)
+    return cache.expected_hit_rate(samplers)
+
+
+class TestZipfStaticHitRates:
+    """The analytic hit rate is bit-identical to the sampler reference."""
+
+    @pytest.mark.parametrize("alpha", [1.05, 1.25])
+    @pytest.mark.parametrize("dim", [16, 24, 64])
+    def test_equals_sampler_reference_on_mini(self, dim, alpha):
+        # 100 B holds 0 entries per table; 64 MB holds every small table.
+        capacities = [100, 2 * 1024, 2 << 20, 64 << 20]
+        got = zipf_static_hit_rates(
+            KAGGLE_MINI.cardinalities,
+            [c // row_entry_bytes(dim) for c in capacities], alpha,
+        )
+        assert got == [
+            sampler_hit_rate(KAGGLE_MINI.cardinalities, c, dim, alpha)
+            for c in capacities
+        ]
+
+    def test_equals_sampler_reference_at_full_scale(self):
+        # KAGGLE's two DHE-bearing dims at the default 2 MB, then TERABYTE.
+        got = zipf_static_hit_rates(
+            KAGGLE.cardinalities,
+            [(2 << 20) // row_entry_bytes(d) for d in (16, 24)],
+        )
+        assert got == [
+            sampler_hit_rate(KAGGLE.cardinalities, 2 << 20, d, 1.05)
+            for d in (16, 24)
+        ]
+        assert zipf_static_hit_rates(
+            TERABYTE.cardinalities, [(2 << 20) // row_entry_bytes(64)]
+        ) == [sampler_hit_rate(TERABYTE.cardinalities, 2 << 20, 64, 1.05)]
+
+    def test_bounds(self):
+        cards = [10, 1000]
+        empty, full = zipf_static_hit_rates(cards, [0, 2 * 1000])
+        assert empty == 0.0
+        assert full == pytest.approx(1.0)
+        assert zipf_static_hit_rates(cards, []) == []
+
+    def test_rejects_bad_inputs(self):
+        with pytest.raises(ValueError):
+            zipf_static_hit_rates([], [10])
+        with pytest.raises(ValueError):
+            zipf_static_hit_rates([10, 0], [10])
+        with pytest.raises(ValueError):
+            zipf_static_hit_rates([10], [-1])
+        with pytest.raises(ValueError):
+            zipf_static_hit_rates([10], [10], alpha=-0.5)

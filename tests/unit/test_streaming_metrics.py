@@ -248,6 +248,27 @@ class TestObserveMany:
             one.mean_accuracy, rel=1e-12
         )
 
+    def test_mean_accuracy_independent_of_fold_order(self):
+        """Outcomes interleaved across two paths, observed one at a time,
+        report the same mean accuracy as per-path bulk folds (a float
+        running sum gave 78.866 vs 78.86600000000001 here)."""
+        labels = ["A", "B", "A", "B", "A"]
+        accuracy = {"A": 79.31, "B": 78.2}
+        one = StreamingMetrics("t", sla_s=0.010)
+        for label in labels:
+            one.observe(1, 0.0, 0.0, 0.001, label, accuracy[label])
+        many = StreamingMetrics("t", sla_s=0.010)
+        for label in ("A", "B"):
+            m = labels.count(label)
+            many.observe_many(np.ones(m), np.zeros(m), None,
+                              np.full(m, 0.001), label, accuracy[label])
+        mixed = StreamingMetrics("t", sla_s=0.010)
+        mixed.observe_many(np.ones(5), np.zeros(5), None, np.full(5, 0.001),
+                           "P", [accuracy[label] for label in labels])
+        assert one.mean_accuracy == many.mean_accuracy
+        assert mixed.mean_accuracy == one.mean_accuracy
+        assert one.mean_accuracy == pytest.approx(78.866)
+
     def test_reservoir_stream_is_bit_identical(self, rng):
         sizes, arrivals, finishes, _, _ = self._streams(rng)
         one = StreamingMetrics("t", sla_s=0.010)
