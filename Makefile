@@ -12,13 +12,18 @@
 # container); `make docstrings-check` fails on undocumented public API in
 # the serving kernel and MP-Rec core; `make examples-smoke` +
 # `make docs-check` back the CI docs job (every example runs green, every
-# relative link resolves); `make profile` cProfiles the `serve` hot path.
+# relative link resolves); `make results-check` fails when the tracked
+# benchmarks/results/ files differ from the checkout (they hold
+# deterministic lines only, so a diff after the tests and benches is an
+# unexplained behaviour change); `make profile` cProfiles the `serve` hot
+# path.
 
 PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test bench-smoke perf-smoke bench bench-selftest lint check \
-	examples-smoke docs-check docstrings-check profile profile-fast
+	examples-smoke docs-check docstrings-check results-check profile \
+	profile-fast
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -61,6 +66,14 @@ examples-smoke:
 docs-check:
 	$(PYTHON) scripts/check_links.py
 
+results-check:
+	@changed="$$(git status --porcelain -- benchmarks/results/)"; \
+	if [ -n "$$changed" ]; then \
+		echo "$$changed"; \
+		echo "tracked benchmark results changed"; \
+		exit 1; \
+	fi
+
 profile:
 	$(PYTHON) -m cProfile -s cumtime -m repro serve \
 		--queries 20000 --qps 20000 --max-batch 64 --batch-timeout-ms 2 \
@@ -74,4 +87,5 @@ profile-fast:
 		--max-batch 256 --batch-timeout-ms 4 --shed-policy deadline-aware \
 		| head -45
 
-check: lint docstrings-check test bench-smoke perf-smoke docs-check examples-smoke
+check: lint docstrings-check test bench-smoke perf-smoke docs-check examples-smoke \
+	results-check

@@ -2,8 +2,10 @@
 # CI entry point: lint (byte-compile + collect), the docstring coverage
 # gate, tier-1 tests, a quick benchmark smoke pass, the perf-regression
 # smoke (pinned speedup / node-seconds-savings floors), the perf
-# benchmark's fingerprint self-test, and the docs link check. Mirrors
-# the Makefile targets for environments without make.
+# benchmark's fingerprint self-test, the docs link check, and the
+# tracked-results check (no file under benchmarks/results/ may differ
+# from the checkout). Mirrors the Makefile targets for environments
+# without make.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
@@ -28,10 +30,20 @@ python -m pytest -q \
     benchmarks/test_workload_generation.py \
     benchmarks/test_runtime_switching.py \
     benchmarks/test_autoscaling.py \
-    benchmarks/test_cluster_cache.py
+    benchmarks/test_cluster_cache.py \
+    benchmarks/test_ablation_scheduler.py \
+    benchmarks/test_geo_serving.py
 
 echo "== benchmark self-test (committed result fingerprints) =="
 python -m pytest perfbench/selftest.py -q
 
 echo "== docs link check =="
 python scripts/check_links.py
+
+echo "== tracked benchmark results unchanged =="
+changed=$(git status --porcelain -- benchmarks/results/)
+if [ -n "$changed" ]; then
+    echo "$changed"
+    echo "tracked benchmark results changed"
+    exit 1
+fi

@@ -556,15 +556,20 @@ def cmd_serve(args) -> int:
     print(f"scheduler              : {args.scheduler}")
     print(f"engine                 : "
           f"{'fast (array path)' if args.fastpath else 'event kernel'}")
+    _print_headline(result)
+    for label, share in result.switching_breakdown().items():
+        print(f"  {label:16s} {share * 100:5.1f}%")
+    return 0
+
+
+def _print_headline(result) -> None:
+    """The six headline serving metrics every ``serve`` mode prints."""
     print(f"correct predictions/s  : {result.correct_prediction_throughput:,.0f}")
     print(f"raw samples/s          : {result.raw_throughput:,.0f}")
     print(f"served accuracy        : {result.mean_accuracy:.3f}%")
     print(f"SLA violations         : {result.violation_rate * 100:.2f}%")
     print(f"shed (dropped)         : {result.drop_rate * 100:.2f}%")
     print(f"p99 latency            : {result.p99_latency_s * 1e3:.2f} ms")
-    for label, share in result.switching_breakdown().items():
-        print(f"  {label:16s} {share * 100:5.1f}%")
-    return 0
 
 
 def _cache_kwargs(args) -> dict:
@@ -602,12 +607,7 @@ def _serve_switching(args, config, scenario) -> int:
         streaming=args.streaming, cooldown_s=cooldown_ms / 1e3,
     )
     print("mode                   : runtime representation switching")
-    print(f"correct predictions/s  : {result.correct_prediction_throughput:,.0f}")
-    print(f"raw samples/s          : {result.raw_throughput:,.0f}")
-    print(f"served accuracy        : {result.mean_accuracy:.3f}%")
-    print(f"SLA violations         : {result.violation_rate * 100:.2f}%")
-    print(f"shed (dropped)         : {result.drop_rate * 100:.2f}%")
-    print(f"p99 latency            : {result.p99_latency_s * 1e3:.2f} ms")
+    _print_headline(result)
     for label, share in result.switching_breakdown().items():
         print(f"  {label:16s} {share * 100:5.1f}%")
     print(f"switches               : {len(controller.events)}")
@@ -636,16 +636,10 @@ def _serve_autoscale(args, config, scenario, max_nodes) -> int:
         max_queue=args.max_queue, streaming=args.streaming,
         **_cache_kwargs(args),
     )
-    result = cluster.result
     print(f"elastic cluster        : {args.min_nodes}..{max_nodes} nodes, "
           f"{args.router} router, replication {args.replication}, {args.link}")
     print(f"scheduler              : {args.scheduler}")
-    print(f"correct predictions/s  : {result.correct_prediction_throughput:,.0f}")
-    print(f"raw samples/s          : {result.raw_throughput:,.0f}")
-    print(f"served accuracy        : {result.mean_accuracy:.3f}%")
-    print(f"SLA violations         : {result.violation_rate * 100:.2f}%")
-    print(f"shed (dropped)         : {result.drop_rate * 100:.2f}%")
-    print(f"p99 latency            : {result.p99_latency_s * 1e3:.2f} ms")
+    _print_headline(cluster.result)
     print(f"scale ups / downs      : {cluster.scale_ups} / {cluster.scale_downs}")
     print(f"node-seconds           : {cluster.node_seconds:.3f}")
     print(f"handoff overhead       : {cluster.handoff_overhead_s * 1e3:.2f} ms")
@@ -688,15 +682,9 @@ def _serve_autopilot(args, config, scenario, max_nodes) -> int:
         max_queue=args.max_queue, streaming=args.streaming,
         **_cache_kwargs(args),
     )
-    result = cluster.result
     print(f"autopilot fleet        : {args.min_nodes}..{max_nodes} nodes, "
           f"{args.router} router, replication {args.replication}, {args.link}")
-    print(f"correct predictions/s  : {result.correct_prediction_throughput:,.0f}")
-    print(f"raw samples/s          : {result.raw_throughput:,.0f}")
-    print(f"served accuracy        : {result.mean_accuracy:.3f}%")
-    print(f"SLA violations         : {result.violation_rate * 100:.2f}%")
-    print(f"shed (dropped)         : {result.drop_rate * 100:.2f}%")
-    print(f"p99 latency            : {result.p99_latency_s * 1e3:.2f} ms")
+    _print_headline(cluster.result)
     print(f"control decisions      : {len(cluster.control_decisions)}")
     print(f"scale ups / downs      : {cluster.scale_ups} / {cluster.scale_downs}")
     print(f"node-seconds           : {cluster.node_seconds:.3f}")
@@ -737,17 +725,11 @@ def _serve_regions(args, config) -> int:
         sim.run_streaming(scenario, region_of)
         if args.streaming else sim.run(scenario, region_of)
     )
-    result = res.result
     print(f"geo fleet              : {args.regions} regions x {args.nodes} "
           f"node(s), {res.router} geo-router, {res.wan.name}, "
           f"region replication {res.region_replication}")
     print(f"scheduler              : {args.scheduler}")
-    print(f"correct predictions/s  : {result.correct_prediction_throughput:,.0f}")
-    print(f"raw samples/s          : {result.raw_throughput:,.0f}")
-    print(f"served accuracy        : {result.mean_accuracy:.3f}%")
-    print(f"SLA violations         : {result.violation_rate * 100:.2f}%")
-    print(f"shed (dropped)         : {result.drop_rate * 100:.2f}%")
-    print(f"p99 latency            : {result.p99_latency_s * 1e3:.2f} ms")
+    _print_headline(res.result)
     print(f"spilled / re-homed     : {res.spills} / {res.rehomed}")
     print(f"WAN traffic            : {res.wan_bytes / 1e6:.2f} MB "
           f"({res.wan_cost_j:.2f} J-eq)")
@@ -785,16 +767,10 @@ def _serve_cluster(args, config, scenario) -> int:
         fail_node=args.fail_node, streaming=args.streaming,
         **_cache_kwargs(args),
     )
-    result = cluster.result
     print(f"cluster                : {args.nodes} nodes, {args.router} router, "
           f"replication {args.replication}, {args.link}")
     print(f"scheduler              : {args.scheduler}")
-    print(f"correct predictions/s  : {result.correct_prediction_throughput:,.0f}")
-    print(f"raw samples/s          : {result.raw_throughput:,.0f}")
-    print(f"served accuracy        : {result.mean_accuracy:.3f}%")
-    print(f"SLA violations         : {result.violation_rate * 100:.2f}%")
-    print(f"shed (dropped)         : {result.drop_rate * 100:.2f}%")
-    print(f"p99 latency            : {result.p99_latency_s * 1e3:.2f} ms")
+    _print_headline(cluster.result)
     served = ", ".join(str(n) for n in cluster.per_node_served)
     print(f"per-node served        : [{served}]")
     _print_cache(cluster.cache)

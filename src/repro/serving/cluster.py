@@ -13,7 +13,8 @@ kernel the single-node :class:`~repro.serving.simulator.ServingSimulator`
 wraps — driven off one shared :class:`~repro.serving.engine.EventLoop`.
 This module owns only what is cluster-specific: routing and edge
 admission (backpressure, shard coverage), the per-batch exchange pricing
-hook, failure injection, and fleet-level accounting.  Batching,
+hook, failure injection, and fleet-level accounting (:class:`FleetLedger`,
+which the region tier shares).  Batching,
 shedding, and energy apportionment live in :mod:`repro.serving.engine`,
 in exactly one place.
 
@@ -513,6 +514,27 @@ class ClusterSimulator:
         """A fresh node cache keyed to a ``k``-member epoch's groups."""
         return self.cache_config.build(k, self._hot_rows_per_group(k))
 
+    def _begin_run(
+        self, k0: int, on_control_tick=None, on_switch_extra=None
+    ) -> tuple["_RunState", list[EngineCore]]:
+        """One run's state, router, and cores, with the first ``k0``
+        serving and the rest powered off until a scale-up joins them —
+        the set-up :meth:`_simulate` and every region of a
+        :class:`~repro.serving.region.RegionSimulator` share."""
+        state = _RunState(
+            self._epoch(k0)[1],
+            list(range(self.node_base, self.node_base + k0)),
+        )
+        state.router = make_router(
+            self._router_spec, shard_map=state.shard_map, link=self.link
+        )
+        state.router.reset()
+        cores = self._make_cores(state, on_control_tick, on_switch_extra)
+        for core in cores[k0:]:
+            core.alive = False
+        state.active = cores[:k0]
+        return state, cores
+
     def _make_cores(
         self, state: "_RunState", on_control_tick=None, on_switch_extra=None
     ) -> list[EngineCore]:
@@ -624,28 +646,6 @@ class ClusterSimulator:
             else self.autoscale.clone() if self.autoscale else None
         )
         k0 = controller.initial_nodes if controller else n_total
-        state = _RunState(self._epoch(k0)[1], list(range(k0)))
-        state.router = make_router(
-            self._router_spec, shard_map=state.shard_map, link=self.link
-        )
-        state.router.reset()
-        cluster = ClusterResult(
-            result=sink.result,
-            n_nodes=n_total,
-            router=state.router.name,
-            replication=self.shard_map.replication,
-            per_node_served=[0] * n_total,
-            per_node_dropped=[0] * n_total,
-        )
-        coverage_ok = True
-        # Indices of displaced/drained queries awaiting re-admission; a
-        # query only counts as rerouted once a surviving node accepts it
-        # (a re-injection shed at the edge is an edge drop, not a reroute).
-        reinjected: set[int] = set()
-        # Fleet accounting: when each member last became active, and the
-        # per-node active seconds accumulated by completed drains.
-        activated_at: dict[int, float] = {node: 0.0 for node in state.members}
-        active_seconds: dict[int, float] = {}
         # One scale operation at a time: a join's warm window must finish
         # before the next operation may start, which is what keeps
         # membership a prefix of the node ids (and the epoch shard maps'
@@ -698,12 +698,16 @@ class ClusterSimulator:
         else:
             on_tick = control_tick if controller else None
             on_switch_extra = None
-        cores = self._make_cores(
-            state, on_control_tick=on_tick, on_switch_extra=on_switch_extra
+        state, cores = self._begin_run(k0, on_tick, on_switch_extra)
+        cluster = ClusterResult(
+            result=sink.result,
+            n_nodes=n_total,
+            router=state.router.name,
+            replication=self.shard_map.replication,
+            per_node_served=[0] * n_total,
+            per_node_dropped=[0] * n_total,
         )
-        for core in cores[k0:]:
-            core.alive = False  # powered off until a scale-up joins them
-        state.active = cores[:k0]
+        ledger = FleetLedger(cores, sink, scenario)
 
         def start_scale_up(now, loop):
             nonlocal pending_join
@@ -762,7 +766,7 @@ class ClusterSimulator:
             state.active.append(core)
             state.shard_map = join["map"]
             state.router.update_shard_map(state.shard_map)
-            activated_at[node] = now
+            ledger.activate(node, now)
             cluster.scale_ups += 1
             cluster.handoff_overhead_s += join["warm_s"]
             event = ScaleEvent(
@@ -795,16 +799,12 @@ class ClusterSimulator:
                         _cached_groups(survivor.node_id, state.shard_map),
                     )
             handed_back = core.drain()
-            for query in handed_back:
-                reinjected.add(query.index)
-                loop.push(now, ARRIVAL, query)
+            ledger.reinject(handed_back, now, loop)
             # The node stays powered until its dispatched batches finish.
             busy_until = max(
                 max(pool) for pool in core.timeline.free_at.values()
             )
-            active_seconds[node] = active_seconds.get(node, 0.0) + (
-                max(now, busy_until) - activated_at.pop(node)
-            )
+            ledger.retire(node, max(now, busy_until))
             cluster.scale_downs += 1
             event = ScaleEvent(
                 time_s=now, ready_s=now, kind="down", node_id=node,
@@ -814,45 +814,22 @@ class ClusterSimulator:
             cluster.scale_events.append(event)
             controller.on_scale_complete(now, event)
 
-        def admit(query, now):
-            candidates = [c for c in state.active if c.alive and not c.full]
-            if not candidates or not coverage_ok:
-                reinjected.discard(query.index)
-                drop_query(sink, query, scenario.sla_for(query))
-                cluster.edge_drops += 1
-                return None
-            core = state.router.select_node(query, now, candidates)
-            if query.index in reinjected:
-                reinjected.discard(query.index)
-                cluster.rerouted += 1
-            return core
+        def admit(query, now, loop):
+            return ledger.admit(query, now, state)
 
         def on_fail(node, now, loop):
-            nonlocal coverage_ok
             core = cores[node]
             if not core.alive:
                 return
             state.active.remove(core)
             cluster.failed_nodes.append(node)
-            displaced, wasted = core.displace()
-            cluster.wasted_energy_j += wasted
             alive_ids = {c.node_id for c in state.active}
-            coverage_ok = bool(alive_ids) and state.shard_map.coverage_ok(
+            state.covered = bool(alive_ids) and state.shard_map.coverage_ok(
                 alive_ids
             )
-            if coverage_ok:
-                # Surviving replicas hold every shard: re-inject the
-                # displaced queries at the failure instant for re-routing.
-                for query in displaced:
-                    reinjected.add(query.index)
-                    loop.push(now, ARRIVAL, query)
-            else:
-                cluster.lost += len(displaced)
-                for query in displaced:
-                    drop_query(sink, query, scenario.sla_for(query))
-            active_seconds[node] = active_seconds.get(node, 0.0) + (
-                now - activated_at.pop(node)
-            )
+            # Surviving replicas hold every shard: the displaced queries
+            # re-inject at the failure instant; otherwise they are lost.
+            ledger.fail(core, now, loop, recover=state.covered)
 
         def on_control(kind, payload, now, loop):
             if isinstance(payload, int):
@@ -900,15 +877,7 @@ class ClusterSimulator:
             extra_events=tuple(extra_events), on_control=on_control,
         )
 
-        for node, since in activated_at.items():
-            active_seconds[node] = active_seconds.get(node, 0.0) + (
-                end_s - since
-            )
-        for node, seconds in active_seconds.items():
-            cluster.node_seconds += seconds
-            cluster.idle_energy_j += seconds * _node_idle_w(cores[node])
-        if self.cache_config is not None:
-            cluster.cache = CacheStats()
+        ledger.close(cluster, end_s)
         for core in cores:
             cluster.per_node_served[core.node_id] = core.served
             cluster.per_node_dropped[core.node_id] = core.shed
@@ -916,8 +885,6 @@ class ClusterSimulator:
                 cluster.switches += len(core.switcher.events)
                 cluster.switch_overhead_s += core.switcher.total_overhead_s
                 cluster.switch_events.extend(core.switcher.events)
-            if cluster.cache is not None and core.cache is not None:
-                cluster.cache.merge(core.cache.stats)
         cluster.switch_events.sort(key=lambda e: e.time_s)
         # A mid-run reroute changes the installed policy; report what the
         # fleet ended on, and ship the autopilot's decision trace.
@@ -1141,17 +1108,134 @@ class _RunState:
     """Mutable per-run cluster state the kernel hooks close over: the
     current epoch's shard map, the member ids (always a prefix), the
     routable cores, the installed router (mutable — the autopilot's
-    reroute action swaps it mid-run), and each core's most recent
-    previewed cache splits (pending until the dispatch commits them)."""
+    reroute action swaps it mid-run), whether the routable cores still
+    cover every shard group, and each core's most recent previewed
+    cache splits (pending until the dispatch commits them)."""
 
-    __slots__ = ("shard_map", "members", "active", "router", "pending_cache")
+    __slots__ = (
+        "shard_map", "members", "active", "router", "covered",
+        "pending_cache",
+    )
 
     def __init__(self, shard_map: ShardMap, members: list[int]) -> None:
         self.shard_map = shard_map
         self.members = members
         self.active: list[EngineCore] = []
         self.router: Router | None = None
+        self.covered = True
         self.pending_cache: dict[int, tuple] = {}
+
+
+class FleetLedger:
+    """A run's fleet accounting, shared by the cluster and region tiers.
+
+    - **Active stints.** A node is active from its activation (0.0 for
+      the cores alive at the start) until it fails, drains, or the run
+      ends; :meth:`close` sums the stints into ``node_seconds`` and
+      ``idle_energy_j``, retired stints first, then the open ones in
+      activation order.
+    - **Displaced queries.** A failed or drained node's queries are
+      re-injected as arrivals at the displacement instant and settled
+      exactly once: ``rerouted`` when a node accepts one, ``edge_drops``
+      when an edge sheds it, ``lost`` when no live replica holds its
+      shards.  A failure's in-flight energy is ``wasted_energy_j``.
+    - **Edge admission** over a run state's usable cores (:meth:`admit`).
+    - **The node-cache roll-up**, merged in global node order.
+
+    ``cores`` is indexed by global node id.  :meth:`close` writes the
+    ledger onto a :class:`ClusterResult` or a
+    :class:`~repro.serving.region.RegionResult`.
+    """
+
+    __slots__ = (
+        "cores", "sink", "scenario", "activated_at", "active_seconds",
+        "reinjected", "rerouted", "lost", "edge_drops", "wasted_energy_j",
+    )
+
+    def __init__(self, cores: list[EngineCore], sink, scenario) -> None:
+        self.cores = cores
+        self.sink = sink
+        self.scenario = scenario
+        self.activated_at = {c.node_id: 0.0 for c in cores if c.alive}
+        self.active_seconds: dict[int, float] = {}
+        self.reinjected: set[int] = set()
+        self.rerouted = 0
+        self.lost = 0
+        self.edge_drops = 0
+        self.wasted_energy_j = 0.0
+
+    def activate(self, node: int, now: float) -> None:
+        """Open ``node``'s next active stint."""
+        self.activated_at[node] = now
+
+    def retire(self, node: int, until: float) -> None:
+        """Close ``node``'s open stint at ``until``."""
+        self.active_seconds[node] = self.active_seconds.get(node, 0.0) + (
+            until - self.activated_at.pop(node)
+        )
+
+    def reinject(self, queries, now: float, loop) -> None:
+        """Push displaced queries back as arrivals at ``now``."""
+        for query in queries:
+            self.reinjected.add(query.index)
+            loop.push(now, ARRIVAL, query)
+
+    def fail(self, core: EngineCore, now: float, loop, recover=True) -> None:
+        """Kill ``core`` at ``now``: its queued and in-flight queries are
+        re-injected (``recover``) or lost, and its stint closes."""
+        displaced, wasted = core.displace()
+        self.wasted_energy_j += wasted
+        if recover:
+            self.reinject(displaced, now, loop)
+        else:
+            self.lost += len(displaced)
+            for query in displaced:
+                drop_query(self.sink, query, self.scenario.sla_for(query))
+        self.retire(core.node_id, now)
+
+    def admit(self, query, now: float, state: _RunState) -> EngineCore | None:
+        """Route one arrival to a usable core of ``state``, or shed it at
+        the edge when every core is full or dead or a shard group has no
+        live replica."""
+        candidates = [c for c in state.active if c.alive and not c.full]
+        if not candidates or not state.covered:
+            self.reinjected.discard(query.index)
+            self.edge_drops += 1
+            drop_query(self.sink, query, self.scenario.sla_for(query))
+            return None
+        core = state.router.select_node(query, now, candidates)
+        if query.index in self.reinjected:
+            self.reinjected.discard(query.index)
+            self.rerouted += 1
+        return core
+
+    def drop_unservable(self, query) -> None:
+        """Drop one arrival no live replica can serve: displaced work is
+        lost, a fresh arrival is an edge drop."""
+        if query.index in self.reinjected:
+            self.reinjected.discard(query.index)
+            self.lost += 1
+        else:
+            self.edge_drops += 1
+        drop_query(self.sink, query, self.scenario.sla_for(query))
+
+    def close(self, result, end_s: float) -> None:
+        """Close every open stint at ``end_s`` and write the ledger onto
+        ``result``."""
+        for node in list(self.activated_at):
+            self.retire(node, end_s)
+        for node, seconds in self.active_seconds.items():
+            result.node_seconds += seconds
+            result.idle_energy_j += seconds * _node_idle_w(self.cores[node])
+        result.rerouted = self.rerouted
+        result.lost = self.lost
+        result.edge_drops = self.edge_drops
+        result.wasted_energy_j = self.wasted_energy_j
+        caches = [c.cache.stats for c in self.cores if c.cache is not None]
+        if caches:
+            result.cache = CacheStats()
+            for stats in caches:
+                result.cache.merge(stats)
 
 
 def _cached_groups(node_id: int, shard_map: ShardMap) -> list[int]:

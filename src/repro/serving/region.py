@@ -7,16 +7,23 @@ one diurnal clock.  This module adds the planet rung.  A
 :class:`~repro.serving.cluster.ClusterSimulator`s into named *regions*
 joined by WAN-class links (tens of milliseconds of propagation, metered
 per-byte cost — :mod:`repro.serving.wan`), and drives every region's
-cores off ONE shared event loop, so cross-region interactions are
-simulated exactly rather than stitched from independent runs.
+cores off ONE shared event loop — the kernel's own
+:func:`~repro.serving.engine.run_kernel`, whose ``admit(query, now,
+loop)`` hook lets a spill push its delayed WAN arrival — so
+cross-region interactions are simulated exactly rather than stitched
+from independent runs.
 
 Composition contract: each member cluster is built with a ``node_base``
 offset placing its nodes in a global id space (region i's nodes follow
 region i-1's), which makes the flat core list indexable by the kernel's
-FLUSH/FINISH events while each region keeps its own shard map, router,
-and fabric pricing.  Member clusters must be plain serving clusters —
-the region tier owns failure injection, and per-cluster controllers
-(switching/autoscale/autopilot) are not composed here.
+per-node flush and finish events while each region keeps its own shard
+map, router, and fabric pricing.  One
+:class:`~repro.serving.cluster.FleetLedger` — the cluster tier's — keeps
+the whole fleet's books: node-seconds and idle energy, edge admission,
+and the displaced-query ledger behind failover.  Member clusters must
+be plain serving clusters — the region tier owns failure injection, and
+per-cluster controllers (switching/autoscale/autopilot) are not composed
+here.
 
 Traffic model: every query has a *home* region (``region_of``, typically
 from :func:`~repro.experiments.setup.follow_the_sun_scenario`, which
@@ -74,20 +81,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.serving.cache import CacheConfig, NodeCache
-from repro.serving.cluster import ClusterSimulator, _node_idle_w, _RunState
+from repro.serving.cluster import ClusterSimulator, FleetLedger
 from repro.serving.engine import (
     ARRIVAL,
     CONTROL,
-    FINISH,
-    FLUSH,
-    SWITCH,
-    EventLoop,
     RecordSink,
     StreamingSink,
-    drop_query,
+    run_kernel,
 )
 from repro.serving.metrics import CacheStats, ServingResult, StreamingMetrics
-from repro.serving.routing import make_router
 from repro.serving.wan import QUERY_WAN_BYTES, WanLink, resolve_wan_link
 from repro.serving.workload import ServingScenario
 
@@ -452,24 +454,12 @@ class RegionSimulator:
 
         # Per-region run state: each region keeps its own shard map,
         # fabric pricing, and intra-region router; the cores live in one
-        # flat global list the shared kernel loop indexes by node id.
-        rstates: list[_RunState] = []
+        # flat global list the shared kernel indexes by node id.
+        rstates = []
         region_cores: list[list] = []
         cores: list = []
-        for name, cluster in self.regions:
-            state = _RunState(
-                cluster.shard_map,
-                list(range(cluster.node_base,
-                           cluster.node_base + len(cluster.schedulers))),
-            )
-            state.router = make_router(
-                cluster._router_spec,
-                shard_map=cluster.shard_map,
-                link=cluster.link,
-            )
-            state.router.reset()
-            rcores = cluster._make_cores(state)
-            state.active = list(rcores)
+        for _, cluster in self.regions:
+            state, rcores = cluster._begin_run(len(cluster.schedulers))
             rstates.append(state)
             region_cores.append(rcores)
             cores.extend(rcores)
@@ -496,11 +486,9 @@ class RegionSimulator:
             per_region_served=[0] * n,
             per_region_dropped=[0] * n,
         )
+        ledger = FleetLedger(cores, sink, scenario)
         failed: set[int] = set()
-        reinjected: set[int] = set()
         assigned: dict[int, int] = {}  # index -> region it is in flight to
-        activated_at: dict[int, float] = {c.node_id: 0.0 for c in cores}
-        active_seconds: dict[int, float] = {}
         rtt_est = self.wan.rtt_s(self.bytes_per_query)
         self.geo_router.reset()
 
@@ -533,22 +521,6 @@ class RegionSimulator:
             assigned[query.index] = target
             loop.push(now + delay, ARRIVAL, query)
 
-        def local_admit(query, now, region: int):
-            state = rstates[region]
-            candidates = [
-                c for c in state.active if c.alive and not c.full
-            ]
-            if not candidates:
-                reinjected.discard(query.index)
-                drop_query(sink, query, scenario.sla_for(query))
-                res.edge_drops += 1
-                return None
-            core = state.router.select_node(query, now, candidates)
-            if query.index in reinjected:
-                reinjected.discard(query.index)
-                res.rerouted += 1
-            return core
-
         def decide(query, now, loop):
             home = int(region_of[query.index])
             if home in failed:
@@ -564,15 +536,8 @@ class RegionSimulator:
                     res.wan_fill_bytes += fill
                     forward(query, target, now, loop, fill)
                     return None
-                # No surviving replica holds the home shards: the query
-                # is unservable.  Displaced work is *lost*; a fresh
-                # arrival to a dead unreplicated region is an edge drop.
-                if query.index in reinjected:
-                    reinjected.discard(query.index)
-                    res.lost += 1
-                else:
-                    res.edge_drops += 1
-                drop_query(sink, query, scenario.sla_for(query))
+                # No surviving replica holds the home shards.
+                ledger.drop_unservable(query)
                 return None
             waits = [wait_of(r, now) for r in range(n)]
             target = self.geo_router.select_region(
@@ -585,89 +550,36 @@ class RegionSimulator:
                 res.wan_fill_bytes += fill
                 forward(query, target, now, loop, fill)
                 return None
-            return local_admit(query, now, home)
+            return ledger.admit(query, now, rstates[home])
 
         def admit(query, now, loop):
             target = assigned.pop(query.index, None)
-            if target is None:
+            if target is None or target in failed:
+                # Fresh, or its target died while it was on the wire:
+                # decide from home (possibly another hop, metered again).
                 return decide(query, now, loop)
-            if target in failed:
-                # Died while the query was on the wire: decide again
-                # from home (possibly another hop, metered again).
-                return decide(query, now, loop)
-            return local_admit(query, now, target)
+            return ledger.admit(query, now, rstates[target])
 
-        def on_region_fail(region: int, now: float, loop) -> None:
-            if region in failed:
-                return
+        def on_region_fail(kind, region: int, now: float, loop) -> None:
             failed.add(region)
             res.failed_regions.append(region)
-            state = rstates[region]
-            for core in list(state.active):
-                displaced, wasted = core.displace()
-                res.wasted_energy_j += wasted
-                for query in displaced:
-                    reinjected.add(query.index)
-                    loop.push(now, ARRIVAL, query)
-                node = core.node_id
-                active_seconds[node] = active_seconds.get(node, 0.0) + (
-                    now - activated_at.pop(node)
-                )
-            state.active = []
+            for core in rstates[region].active:
+                ledger.fail(core, now, loop)
+            rstates[region].active = []
 
-        def on_control(kind, payload, now, loop):
-            tag, region = payload
-            if tag == "region-fail":
-                on_region_fail(region, now, loop)
-
-        extra_events: list[tuple] = []
+        extra_events = ()
         if self.fail_at is not None:
-            extra_events.append(
-                (self.fail_at, CONTROL, ("region-fail", self.fail_region))
-            )
+            extra_events = ((self.fail_at, CONTROL, self.fail_region),)
+        end_s = run_kernel(
+            cores, scenario, sink, admit,
+            extra_events=extra_events, on_control=on_region_fail,
+        )
 
-        # The kernel loop, inlined from engine.run_kernel: geo admission
-        # needs the loop handle (spills re-push delayed arrivals), which
-        # the engine's admit contract does not pass.
-        loop = EventLoop()
-        loop.seed_arrivals(scenario.queries)
-        for time_s, kind, payload in extra_events:
-            loop.push(time_s, kind, payload)
-        end_s = 0.0
-        while loop:
-            end_s, seq, kind, payload = loop.pop()
-            if kind == ARRIVAL:
-                core = admit(payload, end_s, loop)
-                if core is not None:
-                    core.enqueue(payload, end_s, loop, scenario, sink)
-            elif kind == FLUSH:
-                node_id, generation = payload
-                cores[node_id].on_flush(
-                    generation, end_s, loop, scenario, sink
-                )
-            elif kind == FINISH:
-                cores[payload].on_finish(seq, sink)
-            elif kind == SWITCH:
-                node_id, device = payload
-                cores[node_id].on_switch_complete(device, end_s)
-            else:
-                on_control(kind, payload, end_s, loop)
-
-        for node, since in activated_at.items():
-            active_seconds[node] = active_seconds.get(node, 0.0) + (
-                end_s - since
-            )
-        for node, seconds in active_seconds.items():
-            res.node_seconds += seconds
-            res.idle_energy_j += seconds * _node_idle_w(cores[node])
-        if any(c.cache_config is not None for _, c in self.regions):
-            res.cache = CacheStats()
+        ledger.close(res, end_s)
         for region, rcores in enumerate(region_cores):
             for core in rcores:
                 res.per_region_served[region] += core.served
                 res.per_region_dropped[region] += core.shed
-                if res.cache is not None and core.cache is not None:
-                    res.cache.merge(core.cache.stats)
         if wan_caches is not None:
             res.region_cache = CacheStats()
             for cache in wan_caches:

@@ -143,7 +143,7 @@ class ServingSimulator:
             track_energy=self.track_energy,
             switcher=self.switch_controller,
         )
-        run_kernel([core], scenario, sink, admit=lambda query, now: core)
+        run_kernel([core], scenario, sink, admit=lambda query, now, loop: core)
 
 
 class ReferenceSimulator:

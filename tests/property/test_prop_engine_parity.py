@@ -16,6 +16,8 @@ every shed policy, batching on and off, single- and multi-tenant:
   controller never fires (the elastic plumbing is a strict no-op), and
   the **zero-loss drain invariant**: a fleet forced through a
   2 -> 4 -> 2 membership cycle accounts every query exactly once;
+- the **failover ledger**: a mid-run node failure settles every query
+  exactly one way (served, shed, dropped at the edge, or lost);
 - **fast path == kernel**, record for record, across every supported
   scheduler, shed policy, batch size, and tenancy (the array engine of
   :mod:`repro.serving.fastpath` replays the kernel's decision rules
@@ -219,6 +221,46 @@ def test_scale_2_4_2_accounts_every_query_exactly_once(
     assert sorted(r.index for r in result.result.records) == (
         [q.index for q in scenario.queries]
     )
+
+
+@prop_settings(30)
+@given(gaps=gaps, sizes=query_sizes, sla=slas, policy=policies,
+       batch=batches, sched_kind=schedulers,
+       router=st.sampled_from(["round-robin", "least-loaded", "locality"]),
+       replication=st.sampled_from([1, 2]),
+       max_queue=st.sampled_from([0, 2]),
+       fail_node=st.integers(min_value=0, max_value=3),
+       fail_frac=st.floats(min_value=0.1, max_value=0.9))
+def test_node_failure_accounts_every_query_exactly_once(
+    gaps, sizes, sla, policy, batch, sched_kind, router, replication,
+    max_queue, fail_node, fail_frac
+):
+    """The failover ledger: a node failing mid-run neither loses track of
+    nor duplicates a query, and each is settled exactly one way — served,
+    shed by the policy, dropped at the edge, or lost with its node — so
+    the four counts sum to the query count.  Replication 2 survives the
+    failure without a single loss."""
+    scenario = build_scenario(gaps, sizes, sla)
+    n = len(scenario.queries)
+    horizon = scenario.queries.queries[-1].arrival_s or 1e-3
+    plan = greedy_shard([1000, 2000, 500, 1500], 16, 4)
+    cluster = ClusterSimulator(
+        build_scheduler(sched_kind), plan, router=router,
+        replication=replication, shed_policy=policy, max_batch_size=batch,
+        batch_timeout_s=0.001, max_queue=max_queue,
+        fail_at=horizon * fail_frac, fail_node=fail_node,
+    )
+    result = cluster.run(scenario)
+    assert result.failed_nodes == [fail_node]
+    records = result.result.records
+    assert sorted(r.index for r in records) == list(range(n))
+    served = sum(result.per_node_served)
+    assert served == sum(1 for r in records if not r.dropped)
+    assert served + sum(result.per_node_dropped) + result.edge_drops + (
+        result.lost
+    ) == n
+    if replication == 2:
+        assert result.lost == 0
 
 
 @prop_settings(30)

@@ -7,9 +7,10 @@ traffic and trivial geo-routing, so it must reproduce the wrapped
 across intra-region routers, shed policies, batch sizes, tenancy, and
 both geo-router flavors.  And the exactly-once invariant extends across
 regions: under arbitrary spilling and a mid-run region failure, every
-query is observed exactly once globally (served or dropped, never
-duplicated, never silently lost), with the WAN byte meters tied to the
-spill/re-home counts by exact identities.
+query is observed exactly once globally and settled exactly one way
+(served, shed, dropped at an edge, or lost — never duplicated, never
+silently lost), with the WAN byte meters tied to the spill/re-home
+counts by exact identities.
 """
 
 from hypothesis import given, strategies as st
@@ -41,27 +42,42 @@ def two_node_cluster(scheduler, node_base=0, **kwargs):
     return ClusterSimulator(scheduler, plan, node_base=node_base, **kwargs)
 
 
+# The fleet ledger's fields, which a 1-region fleet must reproduce.
+LEDGER_FIELDS = (
+    "node_seconds", "idle_energy_j", "wasted_energy_j", "rerouted", "lost",
+    "edge_drops", "cache",
+)
+
+
 @prop_settings(30)
 @given(gaps=gaps, sizes=query_sizes, sla=slas, policy=policies,
        batch=batches, sched_kind=schedulers, router=routers,
-       geo_router=geo_routers, tenants=st.booleans())
+       geo_router=geo_routers, tenants=st.booleans(),
+       max_queue=st.sampled_from([0, 2]),
+       cache_bytes=st.sampled_from([0, 64 * 1024]))
 def test_one_region_matches_cluster_record_for_record(
-    gaps, sizes, sla, policy, batch, sched_kind, router, geo_router, tenants
+    gaps, sizes, sla, policy, batch, sched_kind, router, geo_router, tenants,
+    max_queue, cache_bytes,
 ):
-    """A 1-region fleet is the cluster: same records, same accounting —
-    whichever geo router is installed (one region leaves it no choice)."""
+    """A 1-region fleet is the cluster: same records, same fleet ledger
+    (node-seconds, idle and wasted energy, reroutes, losses, edge drops,
+    the node-cache roll-up) — with and without backpressure and the
+    cache tier, whichever geo router is installed (one region leaves it
+    no choice)."""
     scenario = build_scenario(gaps, sizes, sla, tenants=tenants)
     kwargs = dict(
         router=router, shed_policy=policy, max_batch_size=batch,
-        batch_timeout_s=0.001,
+        batch_timeout_s=0.001, max_queue=max_queue, cache_bytes=cache_bytes,
     )
     cluster = two_node_cluster(build_scheduler(sched_kind), **kwargs)
     member = two_node_cluster(build_scheduler(sched_kind), **kwargs)
     geo = RegionSimulator([("solo", member)], geo_router=geo_router)
-    expected = sorted_records(cluster.run(scenario).result)
+    expected = cluster.run(scenario)
     result = geo.run(scenario, [0] * len(scenario.queries))
     got = sorted_records(result.result)
-    assert got == expected
+    assert got == sorted_records(expected.result)
+    for name in LEDGER_FIELDS:
+        assert getattr(result, name) == getattr(expected, name), name
     assert result.wan_bytes == 0
     assert result.spills == 0 and result.rehomed == 0
     assert result.per_region_served[0] == sum(
@@ -110,3 +126,7 @@ def test_every_query_accounted_exactly_once_across_regions(
         assert result.edge_drops == 0
     served = sum(1 for r in result.result.records if not r.dropped)
     assert served == sum(result.per_region_served)
+    # Each query is settled exactly one way, wherever it landed.
+    assert served + sum(result.per_region_dropped) + result.edge_drops + (
+        result.lost
+    ) == n
