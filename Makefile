@@ -7,6 +7,8 @@
 # workload's end-to-end metrics, checked against its committed result
 # fingerprint); `make bench-selftest` is its quick gate (two repetitions
 # of each workload must reproduce perfbench/fingerprints.json);
+# `make bench-trace-smoke` runs every workload once traced (`--trace 1`),
+# so a span wrapper that no longer installs fails the gate;
 # `make lint` byte-compiles every tree and
 # checks the suite still collects (no external linters are assumed in the
 # container); `make docstrings-check` fails on undocumented public API in
@@ -15,15 +17,16 @@
 # relative link resolves); `make results-check` fails when the tracked
 # benchmarks/results/ files differ from the checkout (they hold
 # deterministic lines only, so a diff after the tests and benches is an
-# unexplained behaviour change); `make profile` cProfiles the `serve` hot
+# unexplained behaviour change); `make check` runs scripts/check.sh, the
+# one list of every gate above; `make profile` cProfiles the `serve` hot
 # path.
 
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench-smoke perf-smoke bench bench-selftest lint check \
-	examples-smoke docs-check docstrings-check results-check profile \
-	profile-fast
+.PHONY: test bench-smoke perf-smoke bench bench-selftest bench-trace-smoke \
+	lint check examples-smoke docs-check docstrings-check results-check \
+	profile profile-fast
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -49,6 +52,9 @@ bench:
 
 bench-selftest:
 	$(PYTHON) -m pytest perfbench/selftest.py -q
+
+bench-trace-smoke:
+	$(PYTHON) perfbench/run.py --workload all --trace 1 --seconds 1
 
 lint:
 	$(PYTHON) -m compileall -q src tests benchmarks examples
@@ -87,5 +93,5 @@ profile-fast:
 		--max-batch 256 --batch-timeout-ms 4 --shed-policy deadline-aware \
 		| head -45
 
-check: lint docstrings-check test bench-smoke perf-smoke docs-check examples-smoke \
-	results-check
+check:
+	scripts/check.sh

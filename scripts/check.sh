@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# CI entry point: lint (byte-compile + collect), the docstring coverage
-# gate, tier-1 tests, a quick benchmark smoke pass, the perf-regression
-# smoke (pinned speedup / node-seconds-savings floors), the perf
-# benchmark's fingerprint self-test, the docs link check, and the
-# tracked-results check (no file under benchmarks/results/ may differ
-# from the checkout). Mirrors the Makefile targets for environments
-# without make.
+# The one list of gates, run by `make check` and directly where make is
+# missing: lint (byte-compile + collect), the docstring coverage gate,
+# tier-1 tests, a quick benchmark smoke pass, the perf-regression smoke
+# (pinned speedup / node-seconds-savings floors), the perf benchmark's
+# fingerprint self-test, one traced pass of every benchmark workload,
+# the docs link check, every example, and the tracked-results check (no
+# file under benchmarks/results/ may differ from the checkout). Each step
+# runs the same command as the Makefile target of the same name.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
@@ -37,8 +38,17 @@ python -m pytest -q \
 echo "== benchmark self-test (committed result fingerprints) =="
 python -m pytest perfbench/selftest.py -q
 
+echo "== benchmark trace smoke (every workload, traced once) =="
+python perfbench/run.py --workload all --trace 1 --seconds 1
+
 echo "== docs link check =="
 python scripts/check_links.py
+
+echo "== examples smoke =="
+for example in examples/*.py; do
+    echo "== $example =="
+    python "$example"
+done
 
 echo "== tracked benchmark results unchanged =="
 changed=$(git status --porcelain -- benchmarks/results/)

@@ -1,16 +1,25 @@
 """Serving metrics: throughput of correct predictions, SLA violations,
 switching breakdowns, and energy (Section 5.4).
 
-Two aggregation modes share one metric vocabulary:
+Two aggregation modes share one metric vocabulary by construction: both
+are a tally of exact counters, and every metric is defined once over it.
 
 :class:`ServingResult`
-    Exact, record-backed — holds every :class:`QueryRecord` and computes
-    percentiles from the full latency distribution. The right tool for
-    paper-figure reproductions (thousands of queries).
+    Exact, record-backed — holds every :class:`QueryRecord`, folds its
+    tally from them, and computes percentiles from the full latency
+    distribution. The right tool for paper-figure reproductions
+    (thousands of queries).
 :class:`StreamingMetrics`
-    Constant-memory — running counters plus P² (Jain & Chlamtac 1985)
+    Constant-memory — the tally plus P² (Jain & Chlamtac 1985)
     percentile estimators and a bounded latency reservoir, so
     million-query scenarios never materialize per-query records.
+
+The tally's counters are integers (queries, shed and late queries,
+samples per accuracy value, queries per path) and the correct-prediction
+throughputs and mean accuracy are summed exactly from them, so the two
+modes, and the per-outcome and bulk folds, agree bit for bit on every
+counter metric whatever the fold order. Energy is the one float sum that
+depends on fold order; it agrees to rounding.
 
 Dropped (shed) queries count toward ``violation_rate`` and ``drop_rate``
 but are **excluded from latency percentiles** in both modes: a shed query
@@ -121,27 +130,121 @@ class QueryRecord:
         return self.size * self.accuracy / 100.0
 
 
-@dataclass
-class ServingResult:
-    """Aggregated outcome of one simulated serving run."""
+class _Tally:
+    """Exact outcome counters and the one metric vocabulary over them.
 
-    scheduler_name: str
-    sla_s: float
-    records: list[QueryRecord] = field(default_factory=list)
+    :meth:`_count` folds one outcome and :meth:`_count_block` is its
+    vector twin for a column block on one path.  The counters live in
+    the subclass's own attributes, so a per-outcome fold writes them in
+    place.  Each public metric is defined here once, over the counters
+    (brought up to date by :meth:`_settle`) plus the subclass's
+    ``latency_percentile``.
+    """
 
-    # ---- core paper metrics ----------------------------------------------
+    def __init__(self) -> None:
+        self._n = 0
+        self._shed = 0
+        self._late = 0  # served past their SLA target
+        # Served and SLA-met samples per accuracy value (percent).
+        self._served: defaultdict[float, int] = defaultdict(int)
+        self._met: defaultdict[float, int] = defaultdict(int)
+        self._paths: Counter[str] = Counter()
+        self._finish = 0.0
+        self._energy = 0.0  # the one float sum: depends on fold order
+
+    def _settle(self) -> None:
+        """Bring the counters up to date before a read (no-op here)."""
+
+    def _count(self, size, arrival_s, finish_s, path_label, accuracy,
+               energy_j, dropped, sla_s) -> float | None:
+        """Fold one outcome; returns its latency, or None if it was shed."""
+        self._n += 1
+        self._paths[path_label] += 1
+        if finish_s > self._finish:
+            self._finish = finish_s
+        if dropped:
+            self._shed += 1
+            return None
+        self._energy += energy_j
+        self._served[accuracy] += size
+        latency = finish_s - arrival_s
+        if latency > sla_s:
+            self._late += 1
+        else:
+            self._met[accuracy] += size
+        return latency
+
+    def _count_block(self, sizes, arrivals, finishes, path_label, accuracies,
+                     energies, dropped, slas) -> np.ndarray | None:
+        """Vector twin of :meth:`_count` for a non-empty column block on
+        one path (``accuracies``, ``energies`` and ``slas`` are scalars or
+        per-query arrays); returns the latencies, or None if shed."""
+        m = int(sizes.size)
+        self._n += m
+        self._paths[path_label] += m
+        self._finish = max(self._finish, float(finishes.max()))
+        if dropped:
+            self._shed += m
+            return None
+        if np.ndim(energies):
+            self._energy += float(np.asarray(energies, dtype=np.float64).sum())
+        else:
+            self._energy += float(energies) * m
+        latency = finishes - arrivals
+        late = latency > slas
+        self._late += int(np.count_nonzero(late))
+        met = ~late
+        accuracy = np.asarray(accuracies, dtype=np.float64)
+        if accuracy.ndim and (accuracy == accuracy[0]).all():
+            accuracy = accuracy[0]
+        if accuracy.ndim:
+            for value, size, ok in zip(
+                accuracy.tolist(), sizes.tolist(), met.tolist()
+            ):
+                self._served[value] += size
+                if ok:
+                    self._met[value] += size
+        else:
+            self._served[float(accuracy)] += int(sizes.sum())
+            self._met[float(accuracy)] += int(sizes[met].sum())
+        return latency
+
+    # ---- the metric vocabulary ---------------------------------------------
 
     @property
-    def makespan_s(self) -> float:
-        """Time from the epoch to the last recorded finish."""
-        if not self.records:
-            return 0.0
-        return max(r.finish_s for r in self.records)
+    def n(self) -> int:
+        """Queries observed, served and shed."""
+        self._settle()
+        return self._n
+
+    @property
+    def n_dropped(self) -> int:
+        """Queries shed before execution."""
+        self._settle()
+        return self._shed
+
+    @property
+    def n_violations(self) -> int:
+        """Queries late against their SLA target, or shed (never answered)."""
+        self._settle()
+        return self._shed + self._late
 
     @property
     def total_samples(self) -> int:
         """Samples actually served (dropped queries were never answered)."""
-        return sum(r.size for r in self.records if not r.dropped)
+        self._settle()
+        return sum(self._served.values())
+
+    @property
+    def makespan_s(self) -> float:
+        """Time from the epoch to the latest finish."""
+        self._settle()
+        return self._finish
+
+    @staticmethod
+    def _weighted(samples_by_accuracy) -> float:
+        """Accuracy x samples summed exactly over one per-accuracy count."""
+        return math.fsum(a * n for a, n in samples_by_accuracy.items())
 
     @property
     def raw_throughput(self) -> float:
@@ -155,11 +258,7 @@ class ServingResult:
         span = self.makespan_s
         if span <= 0:
             return 0.0
-        return sum(r.correct_samples for r in self.records) / span
-
-    def _sla_of(self, record: QueryRecord) -> float:
-        """The SLA target governing one record (per-tenant aware)."""
-        return self.sla_s if record.sla_s is None else record.sla_s
+        return self._weighted(self._served) / 100.0 / span
 
     @property
     def compliant_correct_throughput(self) -> float:
@@ -170,36 +269,26 @@ class ServingResult:
         span = self.makespan_s
         if span <= 0:
             return 0.0
-        compliant = sum(
-            r.correct_samples
-            for r in self.records
-            if r.latency_s <= self._sla_of(r)
-        )
-        return compliant / span
+        return self._weighted(self._met) / 100.0 / span
 
     @property
     def achieved_qps(self) -> float:
         """Queries handled per second of makespan (served and dropped)."""
         span = self.makespan_s
-        return len(self.records) / span if span > 0 else 0.0
+        return self.n / span if span > 0 else 0.0
 
     @property
     def violation_rate(self) -> float:
         """Fraction of queries exceeding the SLA latency target (dropped
         queries count as violations — they were never answered)."""
-        if not self.records:
-            return 0.0
-        violated = sum(
-            1 for r in self.records if r.dropped or r.latency_s > self._sla_of(r)
-        )
-        return violated / len(self.records)
+        n = self.n
+        return self.n_violations / n if n else 0.0
 
     @property
     def drop_rate(self) -> float:
         """Fraction of queries shed by the overload policy."""
-        if not self.records:
-            return 0.0
-        return sum(1 for r in self.records if r.dropped) / len(self.records)
+        n = self.n
+        return self.n_dropped / n if n else 0.0
 
     @property
     def mean_accuracy(self) -> float:
@@ -207,22 +296,13 @@ class ServingResult:
         total = self.total_samples
         if total == 0:
             return 0.0
-        return sum(r.accuracy * r.size for r in self.records) / total
+        return self._weighted(self._served) / total
 
     @property
     def total_energy_j(self) -> float:
         """Device energy spent on served queries, in joules."""
-        return sum(r.energy_j for r in self.records)
-
-    # ---- distributions ------------------------------------------------------
-
-    def latency_percentile(self, q: float) -> float:
-        """Latency percentile over *served* queries; shed queries were never
-        answered and must not deflate the tail with 0 s samples."""
-        served = [r.latency_s for r in self.records if not r.dropped]
-        if not served:
-            return 0.0
-        return float(np.percentile(served, q))
+        self._settle()
+        return self._energy
 
     @property
     def p50_latency_s(self) -> float:
@@ -241,9 +321,10 @@ class ServingResult:
 
     def switching_breakdown(self) -> dict[str, float]:
         """Fraction of queries served by each path (Figure 15)."""
-        counts = Counter(r.path_label for r in self.records)
-        total = len(self.records)
-        return {label: count / total for label, count in sorted(counts.items())}
+        n = self.n
+        return {
+            label: count / n for label, count in sorted(self._paths.items())
+        }
 
     def summary(self) -> dict[str, float]:
         """The headline metric vocabulary as one printable dict."""
@@ -257,6 +338,64 @@ class ServingResult:
             "p99_latency_ms": self.p99_latency_s * 1e3,
             "energy_j": self.total_energy_j,
         }
+
+
+@dataclass
+class ServingResult(_Tally):
+    """Aggregated outcome of one simulated serving run.
+
+    ``records`` holds every :class:`QueryRecord` and is the exact oracle
+    the other modes are checked against.  Records only ever grow: the
+    tally behind the metrics is folded from the ones appended since the
+    last read, through the vector twin one path label at a time, and
+    percentiles are exact over every served latency.
+    """
+
+    scheduler_name: str
+    sla_s: float
+    records: list[QueryRecord] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        super().__init__()
+        self._folded = 0
+        self._latencies: list[np.ndarray] = []
+
+    def _settle(self) -> None:
+        """Fold the records appended since the last read."""
+        records = self.records
+        if len(records) == self._folded:
+            return
+        groups: defaultdict[tuple[str, bool], list] = defaultdict(list)
+        for record in records[self._folded:]:
+            groups[record.path_label, record.dropped].append(record)
+        self._folded = len(records)
+        default_sla = self.sla_s
+        for (label, dropped), group in groups.items():
+            latency = self._count_block(
+                np.array([r.size for r in group], dtype=np.int64),
+                np.array([r.arrival_s for r in group]),
+                np.array([r.finish_s for r in group]), label,
+                np.array([r.accuracy for r in group]),
+                np.array([r.energy_j for r in group]), dropped,
+                np.array([default_sla if r.sla_s is None else r.sla_s
+                          for r in group]),
+            )
+            if latency is not None:
+                self._latencies.append(latency)
+
+    def latency_percentile(self, q: float) -> float:
+        """Latency percentile over *served* queries; shed queries were never
+        answered and must not deflate the tail with 0 s samples."""
+        self._settle()
+        if not self._latencies:
+            return 0.0
+        if len(self._latencies) > 1:
+            self._latencies = [np.concatenate(self._latencies)]
+        return float(np.percentile(self._latencies[0], q))
+
+    # Each result type keeps ``summary`` in its own namespace, so a tracer
+    # can wrap one type's summary without touching the other's.
+    summary = _Tally.summary
 
 
 class P2Quantile:
@@ -498,14 +637,14 @@ class ReservoirSampler:
         return float(np.percentile(self._sample, q))
 
 
-class StreamingMetrics:
-    """Record-free aggregation with the :class:`ServingResult` vocabulary.
+class StreamingMetrics(_Tally):
+    """Record-free aggregation: the tally plus percentile estimators.
 
-    ``observe`` ingests one query outcome; every paper metric is then
-    available as a property. Named percentiles (p50/p95/p99) come from P²
-    estimators; arbitrary ``latency_percentile(q)`` queries fall back to a
-    uniform reservoir over served latencies. Memory is O(reservoir), not
-    O(queries).
+    ``observe`` folds one query outcome and ``observe_many`` a same-path
+    block; every paper metric is then available as a property.  Named
+    percentiles (p50/p95/p99) come from P² estimators; arbitrary
+    ``latency_percentile(q)`` queries fall back to a uniform reservoir
+    over served latencies.  Memory is O(reservoir), not O(queries).
     """
 
     PERCENTILES = (50.0, 95.0, 99.0)
@@ -517,20 +656,9 @@ class StreamingMetrics:
         reservoir_size: int = 2048,
         seed: int = 0,
     ) -> None:
+        super().__init__()
         self.scheduler_name = scheduler_name
         self.sla_s = sla_s
-        self.n = 0
-        self.n_dropped = 0
-        self.n_violations = 0
-        self.total_samples = 0
-        self._correct_sum = 0.0
-        self._compliant_correct_sum = 0.0
-        # Exact served-sample counts per accuracy: the weighted mean formed
-        # from them on read does not depend on the order of observation.
-        self._samples_by_accuracy: defaultdict[float, int] = defaultdict(int)
-        self._energy_sum = 0.0
-        self._max_finish = 0.0
-        self._path_counts: Counter[str] = Counter()
         self._estimators = {p: P2Quantile(p / 100.0) for p in self.PERCENTILES}
         self._reservoir = ReservoirSampler(reservoir_size, seed=seed)
 
@@ -550,24 +678,12 @@ class StreamingMetrics:
 
         ``sla_s`` overrides the run-level target for this query (multi-tenant
         scenarios carry per-tenant SLAs)."""
-        sla = self.sla_s if sla_s is None else sla_s
-        self.n += 1
-        self._path_counts[path_label] += 1
-        self._max_finish = max(self._max_finish, finish_s)
-        if dropped:
-            self.n_dropped += 1
-            self.n_violations += 1
+        latency = self._count(
+            size, arrival_s, finish_s, path_label, accuracy, energy_j,
+            dropped, self.sla_s if sla_s is None else sla_s,
+        )
+        if latency is None:
             return
-        self.total_samples += size
-        latency = finish_s - arrival_s
-        correct = size * accuracy / 100.0
-        self._correct_sum += correct
-        self._samples_by_accuracy[accuracy] += size
-        self._energy_sum += energy_j
-        if latency > sla:
-            self.n_violations += 1
-        else:
-            self._compliant_correct_sum += correct
         for estimator in self._estimators.values():
             estimator.observe(latency)
         self._reservoir.observe(latency)
@@ -593,54 +709,23 @@ class StreamingMetrics:
         scalars or per-query arrays; ``slas=None`` applies the run-level
         target. ``dropped`` marks the whole chunk as shed.
 
-        Counter metrics (throughput, violation/drop rates, mean accuracy,
-        breakdowns) are exactly the per-sample values; the reservoir
-        consumes its uniforms bit-identically; summed floats and P²
-        percentile estimates agree to accumulation order / estimator
+        Every counter metric equals the per-outcome fold's exactly and
+        the reservoir consumes its uniforms bit-identically; energy agrees
+        to summation order and P² percentile estimates to estimator
         accuracy — pinned in ``tests/property/test_prop_engine_parity.py``.
         """
         sizes = np.asarray(sizes, dtype=np.int64)
         m = int(sizes.size)
         if m == 0:
             return
-        finishes = np.asarray(finishes, dtype=np.float64)
-        self.n += m
-        self._path_counts[path_label] += m
-        self._max_finish = max(self._max_finish, float(finishes.max()))
-        if dropped:
-            self.n_dropped += m
-            self.n_violations += m
-            return
-        arrivals = np.asarray(arrivals, dtype=np.float64)
         del starts  # observe() never reads start_s either
-        sla = np.broadcast_to(
-            np.asarray(
-                self.sla_s if slas is None else slas, dtype=np.float64
-            ),
-            (m,),
+        latency = self._count_block(
+            sizes, np.asarray(arrivals, dtype=np.float64),
+            np.asarray(finishes, dtype=np.float64), path_label, accuracies,
+            energies, dropped, self.sla_s if slas is None else slas,
         )
-        accuracy = np.broadcast_to(
-            np.asarray(accuracies, dtype=np.float64), (m,)
-        )
-        served = int(sizes.sum())
-        self.total_samples += served
-        if np.ndim(accuracies) == 0 or (accuracy == accuracy[0]).all():
-            self._samples_by_accuracy[float(accuracy[0])] += served
-        else:
-            for value, n in zip(accuracy.tolist(), sizes.tolist()):
-                self._samples_by_accuracy[value] += n
-        latency = finishes - arrivals
-        correct = sizes * accuracy / 100.0
-        self._correct_sum += float(correct.sum())
-        if np.ndim(energies):
-            self._energy_sum += float(
-                np.asarray(energies, dtype=np.float64).sum()
-            )
-        else:
-            self._energy_sum += float(energies) * m
-        violated = latency > sla
-        self.n_violations += int(violated.sum())
-        self._compliant_correct_sum += float(correct[~violated].sum())
+        if latency is None:
+            return
         if m < P2Quantile._CHUNK_MIN:
             # Small folds replay the per-sample estimators (bit-equal to
             # a plain observe() loop), mirroring P2Quantile.observe_many.
@@ -665,64 +750,6 @@ class StreamingMetrics:
             sla_s=record.sla_s if sla_s is None else sla_s,
         )
 
-    # ---- core paper metrics ----------------------------------------------
-
-    @property
-    def makespan_s(self) -> float:
-        """Time from the epoch to the latest observed finish."""
-        return self._max_finish
-
-    @property
-    def raw_throughput(self) -> float:
-        """Samples served per second."""
-        span = self.makespan_s
-        return self.total_samples / span if span > 0 else 0.0
-
-    @property
-    def correct_prediction_throughput(self) -> float:
-        """QPS x QuerySize x Accuracy, aggregated (Section 5.4)."""
-        span = self.makespan_s
-        return self._correct_sum / span if span > 0 else 0.0
-
-    @property
-    def compliant_correct_throughput(self) -> float:
-        """Correct predictions per second over SLA-compliant queries only."""
-        span = self.makespan_s
-        return self._compliant_correct_sum / span if span > 0 else 0.0
-
-    @property
-    def achieved_qps(self) -> float:
-        """Queries handled per second of makespan (served and dropped)."""
-        span = self.makespan_s
-        return self.n / span if span > 0 else 0.0
-
-    @property
-    def violation_rate(self) -> float:
-        """Fraction of queries late or dropped against their SLA target."""
-        return self.n_violations / self.n if self.n else 0.0
-
-    @property
-    def drop_rate(self) -> float:
-        """Fraction of queries shed before execution."""
-        return self.n_dropped / self.n if self.n else 0.0
-
-    @property
-    def mean_accuracy(self) -> float:
-        """Sample-weighted accuracy of served predictions (percent)."""
-        if self.total_samples == 0:
-            return 0.0
-        weighted = math.fsum(
-            accuracy * n for accuracy, n in self._samples_by_accuracy.items()
-        )
-        return weighted / self.total_samples
-
-    @property
-    def total_energy_j(self) -> float:
-        """Device energy spent on served queries, in joules."""
-        return self._energy_sum
-
-    # ---- distributions ------------------------------------------------------
-
     def latency_percentile(self, q: float) -> float:
         """Percentile over served latencies: P² for the named percentiles,
         reservoir estimate otherwise."""
@@ -731,39 +758,5 @@ class StreamingMetrics:
             return estimator.value
         return self._reservoir.percentile(q)
 
-    @property
-    def p50_latency_s(self) -> float:
-        """Median served latency, in seconds (P² estimate)."""
-        return self.latency_percentile(50)
-
-    @property
-    def p95_latency_s(self) -> float:
-        """95th-percentile served latency, in seconds (P² estimate)."""
-        return self.latency_percentile(95)
-
-    @property
-    def p99_latency_s(self) -> float:
-        """99th-percentile served latency, in seconds (P² estimate)."""
-        return self.latency_percentile(99)
-
-    def switching_breakdown(self) -> dict[str, float]:
-        """Fraction of queries served by each path (Figure 15)."""
-        if not self.n:
-            return {}
-        return {
-            label: count / self.n
-            for label, count in sorted(self._path_counts.items())
-        }
-
-    def summary(self) -> dict[str, float]:
-        """The headline metric vocabulary as one printable dict."""
-        return {
-            "correct_tput": self.correct_prediction_throughput,
-            "raw_tput": self.raw_throughput,
-            "qps": self.achieved_qps,
-            "accuracy": self.mean_accuracy,
-            "violation_rate": self.violation_rate,
-            "drop_rate": self.drop_rate,
-            "p99_latency_ms": self.p99_latency_s * 1e3,
-            "energy_j": self.total_energy_j,
-        }
+    # Own-namespace alias, as on ServingResult.
+    summary = _Tally.summary

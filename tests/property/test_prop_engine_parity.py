@@ -110,6 +110,22 @@ def sorted_records(result):
     return sorted(result.records, key=lambda r: r.index)
 
 
+COUNTER_METRICS = (
+    "n", "n_dropped", "n_violations", "total_samples", "makespan_s",
+    "raw_throughput", "correct_prediction_throughput",
+    "compliant_correct_throughput", "achieved_qps", "violation_rate",
+    "drop_rate", "mean_accuracy",
+)
+
+
+def counter_metrics(result):
+    """Every metric formed from exact counters: all but energy and the
+    latency percentiles."""
+    out = {name: getattr(result, name) for name in COUNTER_METRICS}
+    out["switching_breakdown"] = result.switching_breakdown()
+    return out
+
+
 @prop_settings(40)
 @given(gaps=gaps, sizes=query_sizes, sla=slas, policy=policies,
        batch=batches, sched_kind=schedulers, tenants=st.booleans())
@@ -317,8 +333,10 @@ def test_fastpath_matches_kernel_record_for_record(
 def test_fastpath_streaming_counters_match_kernel(
     gaps, sizes, sla, policy, batch, tenants
 ):
-    """The fast path's bulk ``observe_many`` fold reports the same
-    counter metrics as the kernel's per-outcome streaming sink."""
+    """The fast path's bulk ``observe_many`` fold, the kernel's
+    per-outcome streaming sink and the kernel's record-backed result
+    report every counter metric bit for bit; energy, the one float sum
+    that depends on fold order, agrees to rounding."""
     scenario = build_scenario(gaps, sizes, sla, tenants=tenants)
     event = ServingSimulator(
         build_scheduler("multi"), shed_policy=policy,
@@ -334,10 +352,22 @@ def test_fastpath_streaming_counters_match_kernel(
     assert got.violation_rate == expected.violation_rate
     assert got.drop_rate == expected.drop_rate
     assert got.mean_accuracy == expected.mean_accuracy
+    assert got.correct_prediction_throughput == (
+        expected.correct_prediction_throughput
+    )
+    assert got.compliant_correct_throughput == (
+        expected.compliant_correct_throughput
+    )
     assert got.total_energy_j == pytest.approx(
         expected.total_energy_j, rel=1e-12, abs=0.0
     )
     assert got.switching_breakdown() == expected.switching_breakdown()
+    records = event.run(scenario)
+    for streamed in (expected, got):
+        assert counter_metrics(streamed) == counter_metrics(records)
+        assert streamed.total_energy_j == pytest.approx(
+            records.total_energy_j, rel=1e-12, abs=0.0
+        )
 
 
 @prop_settings(20)

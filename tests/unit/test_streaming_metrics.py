@@ -91,20 +91,59 @@ class TestStreamingVsExact:
         return exact, stream
 
     def test_counters_match_exactly(self, rng):
+        """Per-record ``observe`` and per-path ``observe_many`` chunks
+        folded in reverse order both reproduce the record-backed counters
+        bit for bit (two paths with different accuracies)."""
         latencies = rng.exponential(0.01, size=500).tolist()
         dropped = (rng.random(500) < 0.2).tolist()
-        exact, stream = self.fold(make_records(latencies, dropped=dropped))
-        assert stream.raw_throughput == exact.raw_throughput
-        assert stream.correct_prediction_throughput == (
-            exact.correct_prediction_throughput
-        )
-        assert stream.compliant_correct_throughput == (
-            exact.compliant_correct_throughput
-        )
-        assert stream.violation_rate == exact.violation_rate
-        assert stream.drop_rate == exact.drop_rate
-        assert stream.mean_accuracy == exact.mean_accuracy
-        assert stream.achieved_qps == exact.achieved_qps
+        sizes = rng.integers(1, 512, size=500).tolist()
+        accs = [(79.31, 78.2)[i % 2] for i in range(500)]
+        records = make_records(latencies, sizes=sizes, accs=accs,
+                               dropped=dropped)
+        exact, stream = self.fold(records)
+        many = StreamingMetrics("t", sla_s=0.010)
+        for label in sorted({r.path_label for r in records}, reverse=True):
+            chunk = [r for r in reversed(records) if r.path_label == label]
+            many.observe_many(
+                [r.size for r in chunk], [r.arrival_s for r in chunk], None,
+                [r.finish_s for r in chunk], label,
+                [r.accuracy for r in chunk], dropped=label == "DROPPED",
+            )
+        for folded in (stream, many):
+            assert folded.n == exact.n
+            assert folded.n_dropped == exact.n_dropped
+            assert folded.n_violations == exact.n_violations
+            assert folded.total_samples == exact.total_samples
+            assert folded.raw_throughput == exact.raw_throughput
+            assert folded.correct_prediction_throughput == (
+                exact.correct_prediction_throughput
+            )
+            assert folded.compliant_correct_throughput == (
+                exact.compliant_correct_throughput
+            )
+            assert folded.violation_rate == exact.violation_rate
+            assert folded.drop_rate == exact.drop_rate
+            assert folded.mean_accuracy == exact.mean_accuracy
+            assert folded.achieved_qps == exact.achieved_qps
+            assert folded.switching_breakdown() == exact.switching_breakdown()
+
+    def test_record_fold_follows_appends(self, rng):
+        """The record-backed tally is folded lazily: reading, appending
+        and reading again equals a fresh result over the full list."""
+        latencies = rng.exponential(0.01, size=300).tolist()
+        dropped = (rng.random(300) < 0.2).tolist()
+        records = make_records(latencies, dropped=dropped)
+        grown = ServingResult("t", 0.010, records=records[:120])
+        grown.summary()
+        grown.records.extend(records[120:])
+        fresh = ServingResult("t", 0.010, records=list(records))
+        assert grown.summary() == fresh.summary()
+        assert grown.n == fresh.n == 300
+        assert grown.switching_breakdown() == fresh.switching_breakdown()
+        empty = ServingResult("t", 0.010)
+        assert set(empty.summary().values()) == {0.0}
+        assert empty.n == empty.total_samples == 0
+        assert empty.switching_breakdown() == {}
 
     def test_percentiles_close_on_small_runs(self, rng):
         latencies = rng.exponential(0.01, size=2000).tolist()
