@@ -18,15 +18,16 @@
 # benchmarks/results/ files differ from the checkout (they hold
 # deterministic lines only, so a diff after the tests and benches is an
 # unexplained behaviour change); `make check` runs scripts/check.sh, the
-# one list of every gate above; `make profile` cProfiles the `serve` hot
-# path.
+# one list of every gate above; `make cli-golden` rewrites the pinned
+# `serve` output (tests/integration/golden/serve.txt) after an intended
+# change; `make profile` cProfiles the `serve` hot path.
 
 PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test bench-smoke perf-smoke bench bench-selftest bench-trace-smoke \
 	lint check examples-smoke docs-check docstrings-check results-check \
-	profile profile-fast
+	cli-golden profile profile-fast
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -71,6 +72,9 @@ examples-smoke:
 
 docs-check:
 	$(PYTHON) scripts/check_links.py
+
+cli-golden:
+	$(PYTHON) tests/integration/test_cli_golden.py
 
 results-check:
 	@changed="$$(git status --porcelain -- benchmarks/results/)"; \
