@@ -6,8 +6,7 @@
    feasible, so served accuracy falls (Insight 4).
 3. The control-plane Pareto frontier: on diurnal + flash-crowd load the
    unified autopilot must dominate — no more SLA violations at no more
-   fleet cost (energy + node-seconds) — every single-mechanism baseline
-   AND the stacked-but-independent PR-3/4/5 controllers.
+   fleet cost (energy + node-seconds) — every single-mechanism baseline.
 """
 
 import numpy as np
@@ -31,7 +30,6 @@ from repro.core.representations import RepresentationConfig, paper_configs
 from repro.hardware.catalog import GPU_V100
 from repro.hardware.topology import ETHERNET_25G
 from repro.models.configs import KAGGLE
-from repro.serving.autoscale import AutoscaleController
 from repro.serving.cluster import ClusterSimulator
 from repro.serving.controlplane import ControlPlane, format_decision
 from repro.serving.simulator import ServingSimulator
@@ -90,14 +88,13 @@ def test_ablation_scheduler(benchmark, record):
 
 # ---- 3. the control-plane Pareto frontier --------------------------------
 #
-# One scenario, five fleets.  Each baseline is missing a lever the
+# One scenario, four fleets.  Each baseline is missing a lever the
 # workload punishes: the static switch-only fleet pays the ceiling's
-# energy all run; autoscale-only and cache-only keep the slow ACCURATE
-# representation and drown; the stacked controllers have every lever but
-# arbitrate nothing — four thresholds firing independently behind an
-# exclusion window.  The autopilot prices all four action classes
-# against one cost function and must land on the frontier: no more
-# violations than any leg, at no more cost than any leg.
+# energy all run; autoscale-only (the plane's scale action alone) and
+# cache-only keep the slow ACCURATE representation and drown.  The
+# autopilot prices all four action classes against one cost function and
+# must land on the frontier: no more violations than any leg, at no more
+# cost than any leg.
 
 PARETO_SLA_S = 0.015
 PARETO_MIN, PARETO_MAX = 2, 6
@@ -151,7 +148,7 @@ def pareto_switcher():
     )
 
 
-def pareto_fleet(switcher=None, autoscale=None, plane=None, cache=False,
+def pareto_fleet(switcher=None, plane=None, cache=False,
                  router="least-loaded"):
     accurate, _ = pareto_paths()
     plan = greedy_shard(PARETO_TABLES, 16, PARETO_MAX)
@@ -159,17 +156,8 @@ def pareto_fleet(switcher=None, autoscale=None, plane=None, cache=False,
     return ClusterSimulator(
         StaticScheduler([accurate]), plan, router=router, replication=2,
         max_batch_size=16, batch_timeout_s=0.008, link=ETHERNET_25G,
-        switch_controller=switcher, autoscale=autoscale, controlplane=plane,
+        switch_controller=switcher, controlplane=plane,
         **kwargs,
-    )
-
-
-def pareto_autoscaler():
-    return AutoscaleController(
-        min_nodes=PARETO_MIN, max_nodes=PARETO_MAX,
-        hi_pressure=0.75, lo_pressure=0.1, util_hi=0.9,
-        patience=4, patience_down=48, cooldown_s=0.25,
-        initial_nodes=PARETO_MAX,
     )
 
 
@@ -177,12 +165,13 @@ def run_pareto():
     scenario = pareto_scenario()
     legs = {
         "switch-only @6": pareto_fleet(switcher=pareto_switcher()),
-        "autoscale-only 2..6": pareto_fleet(autoscale=pareto_autoscaler()),
+        "autoscale-only 2..6": pareto_fleet(plane=ControlPlane(
+            min_nodes=PARETO_MIN, max_nodes=PARETO_MAX, actions=("scale",),
+            hi_pressure=0.75, lo_pressure=0.1, util_hi=0.9,
+            patience=4, patience_down=48, cooldown_s=0.25,
+            initial_nodes=PARETO_MAX,
+        )),
         "cache-only @6": pareto_fleet(cache=True, router="cache-affinity"),
-        "stacked 2..6": pareto_fleet(
-            switcher=pareto_switcher(), autoscale=pareto_autoscaler(),
-            cache=True, router="cache-affinity",
-        ),
         "autopilot 2..6": pareto_fleet(
             switcher=pareto_switcher(), cache=True,
             plane=ControlPlane(

@@ -3,8 +3,9 @@
 The paper's premise is that recommendation load is bursty and diurnal
 and the right configuration changes at runtime.  PR 3 applied that
 per-device (representation switching); this bench applies it to the
-*fleet*: an :class:`~repro.serving.autoscale.AutoscaleController` grows
-and drains serving-kernel cores as the same pressure signals move, with
+*fleet*: a :class:`~repro.serving.controlplane.ControlPlane` with only
+its ``"scale"`` action enabled grows and drains serving-kernel cores as
+the same pressure signals move, with
 live shard handoff — every join warms its shard slice over the fabric
 (charged as a device-timeline block), every drain hands its queued
 queries back through the failover re-injection path.
@@ -42,8 +43,8 @@ from repro.core.representations import RepresentationConfig
 from repro.data.queries import Query, QuerySet, arrival_times
 from repro.hardware.catalog import GPU_V100
 from repro.hardware.topology import ETHERNET_100G
-from repro.serving.autoscale import AutoscaleController
 from repro.serving.cluster import ClusterSimulator
+from repro.serving.controlplane import ControlPlane
 from repro.serving.workload import ServingScenario
 
 SLA_S = 0.015
@@ -98,12 +99,12 @@ def scenario():
     return ServingScenario(queries=QuerySet(queries=queries), sla_s=SLA_S)
 
 
-def make_cluster(n_nodes, autoscale=None):
+def make_cluster(n_nodes, plane=None):
     plan = greedy_shard(CARDINALITIES, DIM, n_nodes)
     return ClusterSimulator(
         StaticScheduler([node_path()]), plan, router="least-loaded",
         replication=REPLICATION, link=LINK, max_batch_size=MAX_BATCH,
-        batch_timeout_s=BATCH_TIMEOUT_S, autoscale=autoscale,
+        batch_timeout_s=BATCH_TIMEOUT_S, controlplane=plane,
     )
 
 
@@ -111,12 +112,12 @@ def run_comparison():
     scn = scenario()
     static_max = make_cluster(MAX_NODES).run(scn)
     static_min = make_cluster(MIN_NODES).run(scn)
-    controller = AutoscaleController(
-        min_nodes=MIN_NODES, max_nodes=MAX_NODES,
+    plane = ControlPlane(
+        min_nodes=MIN_NODES, max_nodes=MAX_NODES, actions=("scale",),
         hi_pressure=0.75, lo_pressure=0.1, util_hi=0.9,
         patience=4, patience_down=48, cooldown_s=0.25,
     )
-    autoscaled = make_cluster(MAX_NODES, autoscale=controller).run(scn)
+    autoscaled = make_cluster(MAX_NODES, plane=plane).run(scn)
     return scn, static_max, static_min, autoscaled
 
 
@@ -159,7 +160,7 @@ def test_autoscaling_matches_max_fleet_at_fewer_node_seconds(
         lines,
     )
 
-    # The controller actually cycled with the load — joins and drains
+    # The plane actually cycled with the load — joins and drains
     # both happened, and every join's shard warm was charged.
     assert autoscaled.scale_ups >= 2
     assert autoscaled.scale_downs >= 1

@@ -6,8 +6,8 @@ cache, swap the router — against one cost function.
 
 Three exhibits:
   1. One knob vs four — the diurnal + flash-crowd workload served by a
-     static floor fleet, a static ceiling fleet, the stacked-but-
-     independent PR-3/4/5 controllers, and the autopilot.  Cost is
+     static floor fleet, a static ceiling fleet, the plane with only its
+     scale action (the autoscaler), and the full autopilot.  Cost is
      joule-equivalents: fleet energy + node-seconds at 1 W/node.
   2. The decision trace — every committed action with the predicted
      cost of everything it rejected (`ClusterResult.control_decisions`),
@@ -32,7 +32,6 @@ from repro.data.queries import Query, QuerySet, arrival_times
 from repro.experiments.setup import run_autopilot_serving
 from repro.hardware.catalog import GPU_V100
 from repro.models.configs import KAGGLE
-from repro.serving.autoscale import AutoscaleController
 from repro.serving.cluster import ClusterSimulator
 from repro.serving.controlplane import ControlPlane, format_decision
 from repro.serving.workload import ServingScenario
@@ -89,8 +88,7 @@ def make_switcher() -> SwitchController:
     )
 
 
-def make_fleet(n_nodes, switcher=None, autoscale=None, plane=None,
-               ) -> ClusterSimulator:
+def make_fleet(n_nodes, switcher=None, plane=None) -> ClusterSimulator:
     accurate, _ = node_paths()
     plan = greedy_shard(
         [1_000_000, 800_000, 700_000, 600_000, 500_000, 400_000], 16, n_nodes
@@ -98,7 +96,7 @@ def make_fleet(n_nodes, switcher=None, autoscale=None, plane=None,
     return ClusterSimulator(
         StaticScheduler([accurate]), plan, router="least-loaded",
         replication=2, max_batch_size=16, batch_timeout_s=0.008,
-        switch_controller=switcher, autoscale=autoscale, controlplane=plane,
+        switch_controller=switcher, controlplane=plane,
         cache_bytes=4 << 20,
     )
 
@@ -115,11 +113,10 @@ def row(label: str, cluster) -> None:
 
 def one_knob_vs_four(scenario):
     header("1. One knob vs four (diurnal + flash crowd)")
-    stacked = make_fleet(
+    scale_only = make_fleet(
         MAX_NODES,
-        switcher=make_switcher(),
-        autoscale=AutoscaleController(
-            min_nodes=MIN_NODES, max_nodes=MAX_NODES,
+        plane=ControlPlane(
+            min_nodes=MIN_NODES, max_nodes=MAX_NODES, actions=("scale",),
             hi_pressure=0.75, lo_pressure=0.1, util_hi=0.9,
             patience=4, patience_down=48, cooldown_s=0.25,
         ),
@@ -135,7 +132,7 @@ def one_knob_vs_four(scenario):
     ).run(scenario)
     row(f"static {MIN_NODES} nodes", make_fleet(MIN_NODES).run(scenario))
     row(f"static {MAX_NODES} nodes", make_fleet(MAX_NODES).run(scenario))
-    row("stacked controllers", stacked)
+    row(f"scale only {MIN_NODES}..{MAX_NODES}", scale_only)
     row(f"autopilot {MIN_NODES}..{MAX_NODES}", autopilot)
     print(
         f"{'':24s} autopilot: {len(autopilot.control_decisions)} decisions, "

@@ -28,8 +28,8 @@ from repro.data.queries import Query, QuerySet, arrival_times
 from repro.data.zipf import ZipfSampler
 from repro.hardware.catalog import GPU_V100
 from repro.hardware.topology import ETHERNET_25G
-from repro.serving.autoscale import AutoscaleController
 from repro.serving.cluster import ClusterSimulator, ShardMap
+from repro.serving.controlplane import ControlPlane
 from repro.serving.workload import ServingScenario
 
 SLA_S = 0.015
@@ -71,12 +71,12 @@ def skewed_scenario(n_queries: int) -> ServingScenario:
     return ServingScenario(queries=QuerySet(queries=queries), sla_s=SLA_S)
 
 
-def make_cluster(router: str, cache_mb: int, autoscale=None, n_nodes=N_NODES):
+def make_cluster(router: str, cache_mb: int, plane=None, n_nodes=N_NODES):
     plan = greedy_shard(CARDINALITIES, DIM, n_nodes)
     return ClusterSimulator(
         StaticScheduler([node_path()]), plan, router=router, replication=1,
         link=ETHERNET_25G, max_batch_size=16, batch_timeout_s=0.004,
-        cache_bytes=cache_mb * 2**20, autoscale=autoscale,
+        cache_bytes=cache_mb * 2**20, controlplane=plane,
     )
 
 
@@ -136,14 +136,15 @@ def accounting(sim, cluster) -> None:
 
 def warm_on_join(n_queries: int) -> None:
     header("3. Elastic fleet: joins warm their cache, drains donate")
-    controller = AutoscaleController(
-        min_nodes=2, max_nodes=N_NODES,
-        schedule=((1.5, "up"), (6.5, "down")),
+    # The scale rule joins under pressure; the schedule forces a drain.
+    plane = ControlPlane(
+        min_nodes=2, max_nodes=N_NODES, actions=("scale",), patience=8,
+        cooldown_s=0.5, schedule=((1.5, "up"), (6.5, "down")),
     )
     scenario = skewed_scenario(n_queries)
-    cluster = make_cluster(
-        "cache-affinity", CACHE_MB, autoscale=controller
-    ).run(scenario)
+    cluster = make_cluster("cache-affinity", CACHE_MB, plane=plane).run(
+        scenario
+    )
     row("elastic 2..4 + cache", cluster)
     for event in cluster.scale_events:
         if event.kind == "up":

@@ -27,8 +27,8 @@ from repro.data.queries import Query, QuerySet, arrival_times
 from repro.experiments.setup import run_autoscaled_serving, run_cluster_serving
 from repro.hardware.catalog import GPU_V100
 from repro.models.configs import KAGGLE
-from repro.serving.autoscale import AutoscaleController
 from repro.serving.cluster import ClusterSimulator
+from repro.serving.controlplane import ControlPlane
 from repro.serving.workload import ServingScenario
 
 SLA_S = 0.015
@@ -68,14 +68,14 @@ def diurnal_flash_scenario(n_queries: int) -> ServingScenario:
     return ServingScenario(queries=QuerySet(queries=queries), sla_s=SLA_S)
 
 
-def make_cluster(n_nodes: int, autoscale=None) -> ClusterSimulator:
+def make_cluster(n_nodes: int, plane=None) -> ClusterSimulator:
     plan = greedy_shard(
         [1_000_000, 800_000, 700_000, 600_000, 500_000, 400_000], 16, n_nodes
     )
     return ClusterSimulator(
         StaticScheduler([node_path()]), plan, router="least-loaded",
         replication=2, max_batch_size=16, batch_timeout_s=0.008,
-        autoscale=autoscale,
+        controlplane=plane,
     )
 
 
@@ -90,14 +90,14 @@ def row(label: str, cluster) -> None:
 
 def capacity_dilemma(scenario) -> None:
     header("1. Trough-sized vs peak-sized vs elastic")
-    controller = AutoscaleController(
-        min_nodes=MIN_NODES, max_nodes=MAX_NODES,
+    plane = ControlPlane(
+        min_nodes=MIN_NODES, max_nodes=MAX_NODES, actions=("scale",),
         hi_pressure=0.75, lo_pressure=0.1, util_hi=0.9,
         patience=4, patience_down=48, cooldown_s=0.25,
     )
     static_min = make_cluster(MIN_NODES).run(scenario)
     static_max = make_cluster(MAX_NODES).run(scenario)
-    elastic = make_cluster(MAX_NODES, autoscale=controller).run(scenario)
+    elastic = make_cluster(MAX_NODES, plane=plane).run(scenario)
     row(f"static {MIN_NODES} nodes", static_min)
     row(f"static {MAX_NODES} nodes", static_max)
     row(f"elastic {MIN_NODES}..{MAX_NODES}", elastic)

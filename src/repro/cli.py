@@ -47,6 +47,20 @@ def _non_negative_int(value: str) -> int:
     return parsed
 
 
+def _positive_float(value: str) -> float:
+    parsed = float(value)
+    if not parsed > 0:  # also rejects nan
+        raise argparse.ArgumentTypeError("must be > 0")
+    return parsed
+
+
+def _non_negative_float(value: str) -> float:
+    parsed = float(value)
+    if not parsed >= 0:  # also rejects nan
+        raise argparse.ArgumentTypeError("must be >= 0")
+    return parsed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="MP-Rec reproduction toolkit"
@@ -78,9 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["mp-rec", "table-cpu", "table-gpu", "dhe-gpu", "hybrid-gpu",
                  "table-switch"],
     )
-    serve.add_argument("--queries", type=int, default=1000)
-    serve.add_argument("--qps", type=float, default=1000.0)
-    serve.add_argument("--sla-ms", type=float, default=10.0)
+    serve.add_argument("--queries", type=_non_negative_int, default=1000)
+    serve.add_argument("--qps", type=_positive_float, default=1000.0)
+    serve.add_argument("--sla-ms", type=_positive_float, default=10.0)
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument(
         "--arrivals", default="poisson",
@@ -91,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["none", "drop-late", "deadline-aware"],
     )
     serve.add_argument("--max-batch", type=_positive_int, default=1)
-    serve.add_argument("--batch-timeout-ms", type=float, default=0.0)
+    serve.add_argument("--batch-timeout-ms", type=_non_negative_float,
+                       default=0.0)
     serve.add_argument(
         "--streaming", action="store_true",
         help="constant-memory metrics (for very large --queries)",
@@ -177,9 +192,10 @@ def build_parser() -> argparse.ArgumentParser:
              "fleet ceiling, --min-nodes the floor)",
     )
     serve.add_argument(
-        "--trace-decisions", type=int, default=8, metavar="N",
+        "--trace-decisions", type=_non_negative_int, default=None,
+        metavar="N",
         help="print the first N autopilot decisions with every candidate "
-             "action's predicted cost (requires --autopilot)",
+             "action's predicted cost (default 8; requires --autopilot)",
     )
     serve.add_argument(
         "--regions", type=_positive_int, default=None,
@@ -265,270 +281,48 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def cmd_serve(args) -> int:
-    from repro.experiments.setup import run_serving_comparison
-    from repro.serving.workload import ServingScenario
+def _given(flags) -> str:
+    """The names in ``(flag, set?)`` pairs whose flag is set, joined."""
+    return ", ".join(flag for flag, used in flags if used)
 
-    config = _datasets()[args.dataset]
-    # Pure flag checks run before the (potentially huge) workload is built.
-    # Geo flags first: they redefine what --nodes means (nodes per region).
-    if args.regions is None:
-        geo_flags = [
-            ("--wan-link", args.wan_link is not None),
-            ("--geo-router", args.geo_router is not None),
-            ("--region-replication", args.region_replication is not None),
-            ("--region-fail-at", args.region_fail_at is not None),
-            ("--fail-region", args.fail_region is not None),
-        ]
-        offending = [flag for flag, used in geo_flags if used]
-        if offending:
-            print(
-                f"error: {', '.join(offending)} require(s) --regions",
-                file=sys.stderr,
-            )
-            return 2
-    else:
-        if args.nodes is None:
-            print(
-                "error: --regions needs --nodes (the per-region cluster "
-                "size)", file=sys.stderr,
-            )
-            return 2
-        incompatible = [
-            ("--fastpath", args.fastpath),
-            ("--switching", args.switching),
-            ("--autoscale", args.autoscale),
-            ("--autopilot", args.autopilot),
-            ("--fail-at/--fail-node",
-             args.fail_at is not None or args.fail_node != 0),
-        ]
-        offending = [flag for flag, used in incompatible if used]
-        if offending:
-            print(
-                f"error: {', '.join(offending)} cannot combine with "
-                "--regions (the region tier owns failure drills; "
-                "per-cluster controllers are not composed)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.arrivals != "poisson":
-            print(
-                "error: --regions builds its own follow-the-sun "
-                "phase-offset diurnal day; drop --arrivals",
-                file=sys.stderr,
-            )
-            return 2
-        if args.region_fail_at is not None and args.region_fail_at < 0:
-            print(
-                f"error: --region-fail-at must be non-negative, got "
-                f"{args.region_fail_at:g}", file=sys.stderr,
-            )
-            return 2
-        if (args.region_fail_at is None) != (args.fail_region is None):
-            print(
-                "error: --region-fail-at and --fail-region go together",
-                file=sys.stderr,
-            )
-            return 2
-        if args.fail_region is not None \
-                and not 0 <= args.fail_region < args.regions:
-            print(
-                f"error: --fail-region {args.fail_region} out of range "
-                f"for --regions {args.regions}", file=sys.stderr,
-            )
-            return 2
-        if args.region_replication is not None \
-                and args.region_replication > args.regions:
-            print(
-                f"error: --region-replication {args.region_replication} "
-                f"exceeds --regions {args.regions}", file=sys.stderr,
-            )
-            return 2
-        if args.replication > args.nodes:
-            print(
-                f"error: --replication {args.replication} exceeds "
-                f"--nodes {args.nodes} (shards replicate within a "
-                "region; across regions use --region-replication)",
-                file=sys.stderr,
-            )
-            return 2
-    if args.nodes is None:
-        args.nodes = 1
-    if args.fastpath:
-        event_only = [
-            ("--switching", args.switching),
-            ("--autoscale", args.autoscale),
-            ("--autopilot", args.autopilot),
-            ("--nodes > 1", args.nodes > 1),
-        ]
-        offending = [flag for flag, used in event_only if used]
-        if offending:
-            print(
-                f"error: --fastpath is the single-node array engine; "
-                f"{', '.join(offending)} require(s) the event kernel",
-                file=sys.stderr,
-            )
-            return 2
-    if args.autopilot:
-        if args.switching:
-            print(
-                "error: --autopilot subsumes --switching (representation "
-                "switches are one of its action classes); pass one",
-                file=sys.stderr,
-            )
-            return 2
-        if args.autoscale:
-            print(
-                "error: --autopilot subsumes --autoscale (scale is one of "
-                "its action classes); pass one", file=sys.stderr,
-            )
-            return 2
-        if args.scheduler != "mp-rec":
-            print(
-                "error: --autopilot builds its own one-representation-per-"
-                "device deployment; leave --scheduler at its default",
-                file=sys.stderr,
-            )
-            return 2
-        if args.switch_cooldown is not None or args.scale_cooldown is not None:
-            print(
-                "error: --switch-cooldown/--scale-cooldown tune the stand-"
-                "alone controllers; the autopilot shares one cooldown "
-                "across all action classes (ControlPlane.cooldown_s)",
-                file=sys.stderr,
-            )
-            return 2
-    elif args.trace_decisions != 8:
-        print("error: --trace-decisions requires --autopilot", file=sys.stderr)
-        return 2
-    if args.switch_cooldown is not None and not args.switching:
-        print("error: --switch-cooldown requires --switching", file=sys.stderr)
-        return 2
-    if args.switching:
-        if args.nodes > 1 or args.autoscale:
-            print(
-                "error: --switching is a single-node mode (use the "
-                "ClusterSimulator API for switching fleets)", file=sys.stderr,
-            )
-            return 2
-        if args.scheduler != "mp-rec":
-            print(
-                "error: --switching builds its own one-representation-per-"
-                "device deployment; leave --scheduler at its default",
-                file=sys.stderr,
-            )
-            return 2
-        if args.cache_mb is not None or args.cache_policy is not None:
-            print(
-                "error: --cache-mb/--cache-policy build the cluster cache "
-                "tier (--nodes > 1); --switching is single-node",
-                file=sys.stderr,
-            )
-            return 2
-    if args.cache_mb is not None and args.cache_mb <= 0:
-        print(
-            f"error: --cache-mb must be positive, got {args.cache_mb:g}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.cache_policy is not None and args.cache_mb is None:
-        print(
-            "error: --cache-policy requires --cache-mb (no cache to govern)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.router == "cache-affinity" and args.cache_mb is None:
-        print(
-            "error: --router cache-affinity scores nodes by cache "
-            "residency; give the tier a budget with --cache-mb",
-            file=sys.stderr,
-        )
-        return 2
-    if not (args.autoscale or args.autopilot):
-        fleet_flags = [
-            ("--min-nodes", args.min_nodes != 1),
-            ("--max-nodes", args.max_nodes is not None),
-            ("--scale-cooldown", args.scale_cooldown is not None),
-        ]
-        ignored = [flag for flag, used in fleet_flags if used]
-        if ignored:
-            print(
-                f"error: {', '.join(ignored)} require(s) --autoscale "
-                "or --autopilot", file=sys.stderr,
-            )
-            return 2
-    else:
-        mode = "--autopilot" if args.autopilot else "--autoscale"
-        max_nodes = args.max_nodes if args.max_nodes is not None else args.nodes
-        if args.max_nodes is not None and args.nodes > 1 \
-                and args.max_nodes != args.nodes:
-            print(
-                f"error: --nodes {args.nodes} conflicts with --max-nodes "
-                f"{args.max_nodes}; give the fleet ceiling once",
-                file=sys.stderr,
-            )
-            return 2
-        if max_nodes < 2:
-            print(
-                f"error: {mode} with --nodes 1 is not a fleet; give "
-                "the ceiling via --nodes or --max-nodes (> 1)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.min_nodes > max_nodes:
-            print(
-                f"error: --min-nodes {args.min_nodes} exceeds the fleet "
-                f"ceiling {max_nodes}", file=sys.stderr,
-            )
-            return 2
-        if args.fail_at is not None or args.fail_node != 0:
-            print(
-                f"error: {mode} and --fail-at/--fail-node cannot be "
-                "combined (elastic membership has no failure drill yet)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.replication > args.min_nodes:
-            print(
-                f"error: --replication {args.replication} exceeds "
-                f"--min-nodes {args.min_nodes}; every epoch must fit its "
-                "replication chains", file=sys.stderr,
-            )
-            return 2
-    if args.regions is not None:
-        return _serve_regions(args, config)
-    scenario = ServingScenario.with_process(
-        args.arrivals, n_queries=args.queries, qps=args.qps,
-        sla_s=args.sla_ms / 1e3, seed=args.seed,
-    )
-    if args.switching:
-        return _serve_switching(args, config, scenario)
-    if args.autopilot:
-        return _serve_autopilot(args, config, scenario, max_nodes)
-    if args.autoscale:
-        return _serve_autoscale(args, config, scenario, max_nodes)
-    if args.nodes > 1:
-        if args.replication > args.nodes:
-            print(
-                f"error: --replication {args.replication} exceeds "
-                f"--nodes {args.nodes}", file=sys.stderr,
-            )
-            return 2
-        if args.fail_at is not None and not 0 <= args.fail_node < args.nodes:
-            print(
-                f"error: --fail-node {args.fail_node} out of range for "
-                f"--nodes {args.nodes}", file=sys.stderr,
-            )
-            return 2
-        if args.fail_at is None and args.fail_node != 0:
-            print(
-                "error: --fail-node requires --fail-at (no failure is "
-                "simulated otherwise)", file=sys.stderr,
-            )
-            return 2
-        return _serve_cluster(args, config, scenario)
-    # Cluster-only flags must not be silently ignored on a 1-node run.
-    cluster_flags = [
+
+def _serve_facts(args) -> argparse.Namespace:
+    """``args`` plus the derived facts the ``serve`` rules read."""
+    f = argparse.Namespace(**vars(args))
+    f.geo = args.regions is not None
+    f.n_nodes = args.nodes or 1
+    f.fleet = args.autoscale or args.autopilot
+    f.mode = "--autopilot" if args.autopilot else "--autoscale"
+    f.ceiling = args.max_nodes if args.max_nodes is not None else f.n_nodes
+    # Neither geo, switching nor a fleet: a plain cluster or one node.
+    f.plain = not (f.geo or args.switching or f.fleet)
+    f.fail_drill = args.fail_at is not None or args.fail_node != 0
+    f.geo_flags = _given([
+        ("--wan-link", args.wan_link is not None),
+        ("--geo-router", args.geo_router is not None),
+        ("--region-replication", args.region_replication is not None),
+        ("--region-fail-at", args.region_fail_at is not None),
+        ("--fail-region", args.fail_region is not None),
+    ])
+    f.cluster_modes = _given([
+        ("--fastpath", args.fastpath),
+        ("--switching", args.switching),
+        ("--autoscale", args.autoscale),
+        ("--autopilot", args.autopilot),
+        ("--fail-at/--fail-node", f.fail_drill),
+    ])
+    f.kernel_modes = _given([
+        ("--switching", args.switching),
+        ("--autoscale", args.autoscale),
+        ("--autopilot", args.autopilot),
+        ("--nodes > 1", f.n_nodes > 1),
+    ])
+    f.fleet_flags = _given([
+        ("--min-nodes", args.min_nodes != 1),
+        ("--max-nodes", args.max_nodes is not None),
+        ("--scale-cooldown", args.scale_cooldown is not None),
+    ])
+    f.cluster_flags = _given([
         ("--fail-at", args.fail_at is not None),
         ("--fail-node", args.fail_node != 0),
         ("--replication", args.replication > 1),
@@ -537,14 +331,136 @@ def cmd_serve(args) -> int:
         ("--link", args.link != "eth-100g"),
         ("--cache-mb", args.cache_mb is not None),
         ("--cache-policy", args.cache_policy is not None),
-    ]
-    ignored = [flag for flag, used in cluster_flags if used]
-    if ignored:
-        print(
-            f"error: {', '.join(ignored)} require(s) --nodes > 1",
-            file=sys.stderr,
-        )
-        return 2
+    ])
+    return f
+
+
+# Every flag combination ``serve`` rejects: (predicate over the facts,
+# message formatted with them), checked in order; the first that holds
+# is the error.  Geo rules come first: --regions redefines --nodes as
+# the per-region cluster size.
+_SERVE_RULES = (
+    (lambda f: not f.geo and f.geo_flags,
+     "{geo_flags} require(s) --regions"),
+    (lambda f: f.geo and f.nodes is None,
+     "--regions needs --nodes (the per-region cluster size)"),
+    (lambda f: f.geo and f.cluster_modes,
+     "{cluster_modes} cannot combine with --regions (the region tier owns "
+     "failure drills; per-cluster controllers are not composed)"),
+    (lambda f: f.geo and f.arrivals != "poisson",
+     "--regions builds its own follow-the-sun phase-offset diurnal day; "
+     "drop --arrivals"),
+    (lambda f: f.geo and f.region_fail_at is not None
+     and f.region_fail_at < 0,
+     "--region-fail-at must be non-negative, got {region_fail_at:g}"),
+    (lambda f: f.geo and (f.region_fail_at is None) != (f.fail_region is None),
+     "--region-fail-at and --fail-region go together"),
+    (lambda f: f.geo and f.fail_region is not None
+     and not 0 <= f.fail_region < f.regions,
+     "--fail-region {fail_region} out of range for --regions {regions}"),
+    (lambda f: f.geo and f.region_replication is not None
+     and f.region_replication > f.regions,
+     "--region-replication {region_replication} exceeds --regions "
+     "{regions}"),
+    (lambda f: f.geo and f.replication > f.nodes,
+     "--replication {replication} exceeds --nodes {nodes} (shards "
+     "replicate within a region; across regions use --region-replication)"),
+    (lambda f: f.fastpath and f.kernel_modes,
+     "--fastpath is the single-node array engine; {kernel_modes} "
+     "require(s) the event kernel"),
+    (lambda f: f.autopilot and f.switching,
+     "--autopilot subsumes --switching (representation switches are one "
+     "of its action classes); pass one"),
+    (lambda f: f.autopilot and f.autoscale,
+     "--autopilot subsumes --autoscale (scale is one of its action "
+     "classes); pass one"),
+    (lambda f: f.autopilot and f.scheduler != "mp-rec",
+     "--autopilot builds its own one-representation-per-device "
+     "deployment; leave --scheduler at its default"),
+    (lambda f: f.autopilot and (f.switch_cooldown is not None
+                                or f.scale_cooldown is not None),
+     "--switch-cooldown/--scale-cooldown tune the stand-alone "
+     "controllers; the autopilot shares one cooldown across all action "
+     "classes (ControlPlane.cooldown_s)"),
+    (lambda f: not f.autopilot and f.trace_decisions is not None,
+     "--trace-decisions requires --autopilot"),
+    (lambda f: f.switch_cooldown is not None and not f.switching,
+     "--switch-cooldown requires --switching"),
+    (lambda f: f.switching and (f.n_nodes > 1 or f.autoscale),
+     "--switching is a single-node mode (use the ClusterSimulator API for "
+     "switching fleets)"),
+    (lambda f: f.switching and f.scheduler != "mp-rec",
+     "--switching builds its own one-representation-per-device "
+     "deployment; leave --scheduler at its default"),
+    (lambda f: f.switching and (f.cache_mb is not None
+                                or f.cache_policy is not None),
+     "--cache-mb/--cache-policy build the cluster cache tier (--nodes > "
+     "1); --switching is single-node"),
+    (lambda f: f.cache_mb is not None and f.cache_mb <= 0,
+     "--cache-mb must be positive, got {cache_mb:g}"),
+    (lambda f: f.cache_policy is not None and f.cache_mb is None,
+     "--cache-policy requires --cache-mb (no cache to govern)"),
+    (lambda f: f.router == "cache-affinity" and f.cache_mb is None,
+     "--router cache-affinity scores nodes by cache residency; give the "
+     "tier a budget with --cache-mb"),
+    (lambda f: not f.fleet and f.fleet_flags,
+     "{fleet_flags} require(s) --autoscale or --autopilot"),
+    (lambda f: f.fleet and f.max_nodes is not None and f.n_nodes > 1
+     and f.max_nodes != f.n_nodes,
+     "--nodes {n_nodes} conflicts with --max-nodes {max_nodes}; give the "
+     "fleet ceiling once"),
+    (lambda f: f.fleet and f.ceiling < 2,
+     "{mode} with --nodes 1 is not a fleet; give the ceiling via --nodes "
+     "or --max-nodes (> 1)"),
+    (lambda f: f.fleet and f.min_nodes > f.ceiling,
+     "--min-nodes {min_nodes} exceeds the fleet ceiling {ceiling}"),
+    (lambda f: f.fleet and f.fail_drill,
+     "{mode} and --fail-at/--fail-node cannot be combined (elastic "
+     "membership has no failure drill yet)"),
+    (lambda f: f.fleet and f.replication > f.min_nodes,
+     "--replication {replication} exceeds --min-nodes {min_nodes}; every "
+     "epoch must fit its replication chains"),
+    (lambda f: f.plain and f.n_nodes > 1 and f.replication > f.n_nodes,
+     "--replication {replication} exceeds --nodes {n_nodes}"),
+    (lambda f: f.plain and f.n_nodes > 1 and f.fail_at is not None
+     and not 0 <= f.fail_node < f.n_nodes,
+     "--fail-node {fail_node} out of range for --nodes {n_nodes}"),
+    (lambda f: f.plain and f.n_nodes > 1 and f.fail_at is None
+     and f.fail_node != 0,
+     "--fail-node requires --fail-at (no failure is simulated otherwise)"),
+    # Cluster-only flags must not be silently ignored on a 1-node run.
+    (lambda f: f.plain and f.n_nodes == 1 and f.cluster_flags,
+     "{cluster_flags} require(s) --nodes > 1"),
+)
+
+
+def cmd_serve(args) -> int:
+    from repro.experiments.setup import run_serving_comparison
+    from repro.serving.workload import ServingScenario
+
+    # Pure flag checks run before the (potentially huge) workload is built.
+    facts = _serve_facts(args)
+    for broken, message in _SERVE_RULES:
+        if broken(facts):
+            print(f"error: {message.format_map(vars(facts))}",
+                  file=sys.stderr)
+            return 2
+    config = _datasets()[args.dataset]
+    if args.regions is not None:
+        return _serve_regions(args, config)
+    args.nodes = facts.n_nodes
+    scenario = ServingScenario.with_process(
+        args.arrivals, n_queries=args.queries, qps=args.qps,
+        sla_s=args.sla_ms / 1e3, seed=args.seed,
+    )
+    if args.switching:
+        return _serve_switching(args, config, scenario)
+    if args.autopilot:
+        return _serve_autopilot(args, config, scenario, facts.ceiling)
+    if args.autoscale:
+        return _serve_autoscale(args, config, scenario, facts.ceiling)
+    if args.nodes > 1:
+        return _serve_cluster(args, config, scenario)
     results = run_serving_comparison(
         config, scenario, subset=(args.scheduler,),
         shed_policy=args.shed_policy, max_batch_size=args.max_batch,
@@ -692,7 +608,8 @@ def _serve_autopilot(args, config, scenario, max_nodes) -> int:
     _print_cache(cluster.cache)
     if cluster.edge_drops:
         print(f"edge drops             : {cluster.edge_drops}")
-    for decision in cluster.control_decisions[:args.trace_decisions]:
+    shown = 8 if args.trace_decisions is None else args.trace_decisions
+    for decision in cluster.control_decisions[:shown]:
         print(f"  {format_decision(decision)}")
     return 0
 

@@ -39,7 +39,7 @@ routing with zero switching-specific logic in the schedulers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.paths import ExecutionPath
 from repro.serving.signals import Hysteresis, queue_pressure, window_utilization
@@ -170,17 +170,7 @@ class SwitchController:
 
     def clone(self) -> "SwitchController":
         """A fresh controller with the same configuration and no state."""
-        return SwitchController(
-            candidates=self.candidates,
-            hi_pressure=self.hi_pressure,
-            lo_pressure=self.lo_pressure,
-            patience=self.patience,
-            cooldown_s=self.cooldown_s,
-            headroom=self.headroom,
-            util_hi=self.util_hi,
-            load_s=self.load_s,
-            teardown_s=self.teardown_s,
-        )
+        return replace(self)
 
     def attach(self, core) -> None:
         """Bind to an engine core at run start: resolve (and, on reuse,
@@ -232,8 +222,8 @@ class SwitchController:
     def on_tick(self, core, tick) -> None:
         """Adapter for the kernel's single control observer: unpack one
         :class:`~repro.serving.engine.ControlTick` into the PR-3 decision
-        rule.  The single-node façade (and a cluster without a fleet
-        controller) wires this as the core's ``on_control_tick``."""
+        rule.  The single-node façade (and a cluster without a control
+        plane) wires this as the core's ``on_control_tick``."""
         self.observe(
             core, tick.path, tick.wait_s, tick.batch_size, tick.scenario,
             tick.now, tick.loop, batch_queries=tick.batch_queries,

@@ -36,7 +36,6 @@ from repro.quality.estimator import QualityEstimator
 import numpy as np
 
 from repro.data.queries import generate_query_arrays, merge_query_arrays
-from repro.serving.autoscale import AutoscaleController
 from repro.serving.cluster import ClusterResult, ClusterSimulator
 from repro.serving.region import GeoRouter, RegionResult, RegionSimulator
 from repro.serving.wan import WanLink
@@ -403,10 +402,11 @@ def build_autoscaled_cluster(
 ) -> ClusterSimulator:
     """Assemble an *elastic* serving cluster: the sharding plan is sized
     for the ``max_nodes`` ceiling, membership starts at ``initial_nodes``
-    (default ``min_nodes``), and an :class:`~repro.serving.autoscale.
-    AutoscaleController` adds or drains nodes as the fleet's pressure
-    signals say — joins warm their shard slice over ``link``, drains
-    hand queued queries back through the failover path (zero-loss).
+    (default ``min_nodes``), and a :class:`~repro.serving.controlplane.
+    ControlPlane` with only its ``"scale"`` action enabled adds or drains
+    nodes as the fleet's pressure signals say — joins warm their shard
+    slice over ``link``, drains hand queued queries back through the
+    failover path (zero-loss).
 
     ``cluster_kwargs`` forward through :func:`build_cluster`
     (``shed_policy``, ``max_batch_size``, ``batch_timeout_s``,
@@ -414,10 +414,11 @@ def build_autoscaled_cluster(
     ...) — with the cache tier on, joins warm their cache alongside the
     shard slice and drains donate their hot set.
     """
-    controller = AutoscaleController(
+    plane = ControlPlane(
         min_nodes=min_nodes,
         max_nodes=max_nodes,
         initial_nodes=initial_nodes,
+        actions=("scale",),
         hi_pressure=hi_pressure,
         lo_pressure=lo_pressure,
         patience=patience,
@@ -427,7 +428,7 @@ def build_autoscaled_cluster(
     return build_cluster(
         model, max_nodes, scheduler=scheduler, router=router,
         replication=replication, link=link, devices=devices,
-        with_cache=with_cache, autoscale=controller, **cluster_kwargs,
+        with_cache=with_cache, controlplane=plane, **cluster_kwargs,
     )
 
 

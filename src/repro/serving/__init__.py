@@ -18,14 +18,13 @@ and the knobs they share:
 - Both accept a :class:`~repro.core.switching.SwitchController` for
   runtime representation switching (load/teardown charged on the device
   timelines — docs/switching.md).
-- The cluster additionally accepts an :class:`~repro.serving.autoscale.
-  AutoscaleController` for elastic fleets: membership grows and shrinks
-  mid-run with live shard handoff (docs/autoscaling.md).
-- Or a :class:`~repro.serving.controlplane.ControlPlane` — the unified
-  SLO autopilot that arbitrates switching, scaling, cache re-warm, and
-  re-routing against one cost function, one action per tick, with the
-  full decision trace in :attr:`ClusterResult.control_decisions`
-  (docs/controlplane.md).
+- The cluster additionally accepts a :class:`~repro.serving.controlplane.
+  ControlPlane` — the unified SLO autopilot that arbitrates switching,
+  scaling, cache re-warm, and re-routing against one cost function, one
+  action per tick, with the full decision trace in
+  :attr:`ClusterResult.control_decisions` (docs/controlplane.md).  Its
+  ``"scale"`` action makes the fleet elastic: membership grows and
+  shrinks mid-run with live shard handoff (docs/autoscaling.md).
 - ``cache_bytes > 0`` turns on the cluster MP-Cache tier: every node
   runs a :class:`~repro.serving.cache.NodeCache` of hot embedding rows
   in front of the fabric, with hit/miss/fill accounting merged into
@@ -45,11 +44,7 @@ See docs/serving.md, docs/cluster.md, and docs/switching.md for the
 guided tour.
 """
 
-from repro.serving.autoscale import (
-    AutoscaleController,
-    ScaleEvent,
-    shard_slice_bytes,
-)
+from repro.serving.autoscale import ScaleEvent, shard_slice_bytes
 from repro.serving.cache import CacheConfig, NodeCache
 from repro.serving.controlplane import (
     ACTION_CLASSES,
@@ -104,7 +99,6 @@ from repro.serving.workload import ServingScenario, TenantSpec
 __all__ = [
     "ACTION_CLASSES",
     "AutopilotOps",
-    "AutoscaleController",
     "Batcher",
     "CacheAffinityRouter",
     "CacheConfig",

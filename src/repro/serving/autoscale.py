@@ -1,15 +1,13 @@
-"""Elastic autoscaling: grow and shrink the serving fleet mid-run.
+"""Elastic autoscaling: the priced scale operations of a growing fleet.
 
 The cluster built in PR 2 is a fixed-size fleet: a flash crowd can only
 be shed, never absorbed, and the night-time trough burns a full fleet's
-idle power serving a trickle.  This module adds the missing control
-loop.  An :class:`AutoscaleController` watches the same pressure signals
-the :class:`~repro.core.switching.SwitchController` uses per device —
-the dispatched batch's worst queueing delay against the SLA, and the
-resident path's service time saturating the batching window (the
-leading indicator that fires before a backlog commits to the timeline)
-— but acts on the *fleet*: add a kernel core when the signals say
-surge, drain one when they say calm.
+idle power serving a trickle.  Autoscaling is the
+:class:`~repro.serving.controlplane.ControlPlane`'s ``"scale"`` action:
+``ControlPlane(actions=("scale",), ...)`` is the autoscaler on its own,
+and ``actions=()`` with a ``schedule`` forces membership changes at
+fixed times.  The plane decides when to join or drain a node; the
+cluster executes the operation; this module prices it and records it.
 
 Scale operations are priced, never free:
 
@@ -50,12 +48,6 @@ strictly serialized — a join's warm window must complete before the
 next operation may start — which is what keeps the prefix invariant
 (and therefore the shard-map indexing) sound.
 
-Thrash control mirrors the switch controller's: a hysteresis band
-between ``lo_pressure`` and ``hi_pressure`` where nothing triggers,
-``patience`` (and the more conservative ``patience_down``) consecutive
-agreeing dispatches before an operation starts, and ``cooldown_s`` of
-frozen membership after each operation completes.
-
 See docs/autoscaling.md for the guided tour and
 ``benchmarks/test_autoscaling.py`` for the headline result: under a
 diurnal flash-crowd scenario the elastic fleet matches a statically
@@ -66,16 +58,9 @@ charged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.analysis.sharding import ShardingPlan, replica_nodes
-from repro.serving.signals import Hysteresis, queue_pressure, window_utilization
-
-# The autoscaler governs the fleet as a whole: one hysteresis key, two
-# possible streak targets.
-_FLEET = "fleet"
-_UP = "up"
-_DOWN = "down"
 
 
 def shard_slice_bytes(
@@ -119,165 +104,3 @@ class ScaleEvent:
     cache_warm_bytes: int = 0
     # Hot-set bytes a drain donated to the surviving replicas' caches.
     cache_donated_bytes: int = 0
-
-
-@dataclass
-class AutoscaleController:
-    """Decide when the fleet grows or shrinks, and never thrash.
-
-    One controller instance governs one cluster run; the cluster clones
-    its configured template per run (:meth:`clone`) so back-to-back runs
-    of one simulator stay independent and deterministic.
-
-    Decision rule, evaluated once per dispatched batch anywhere in the
-    fleet (the cluster feeds every core's ``on_control_tick`` observer
-    here), reusing the shared :mod:`repro.serving.signals` vocabulary: pressure = the batch's worst member wait (batching fill
-    + device queue) / the run SLA, and window saturation as the leading
-    surge indicator.
-
-    - **surge** — pressure >= ``hi_pressure``, or the batch's service
-      time saturating the batching window (window utilization =
-      ``path.latency(batch) / batch_timeout`` >= ``util_hi``, the
-      leading indicator that fires before a backlog commits to the
-      timeline): on ``patience`` consecutive dispatches -> **scale up**
-      (if below ``max_nodes``).
-    - **calm** — the *device-queue* component of the wait alone
-      (``queue_s``, batching fill excluded — at a quiet trough every
-      batch still waits out the flush window, which must not read as
-      load) <= ``lo_pressure`` of the SLA, **and** the post-drain
-      projection holds: window utilization scaled by ``n / (n-1)`` (the
-      load the survivors would inherit) stays <= ``util_lo``.  On
-      ``patience_down`` consecutive dispatches -> **scale down** (if
-      above ``min_nodes``).  Draining is deliberately more patient than
-      joining: a premature join costs one warm window, a premature drain
-      costs re-queued user traffic.
-    - anything in between resets both streaks.
-
-    ``schedule`` forces membership changes at fixed times regardless of
-    pressure — ``((t, "up"), (t2, "down"), ...)`` — the hook benchmarks
-    and the scale-2-4-2 accounting property test drive.
-
-    ``initial_nodes`` (default ``min_nodes``) sets the membership at
-    ``t == 0``.
-    """
-
-    min_nodes: int
-    max_nodes: int
-    initial_nodes: int | None = None
-    hi_pressure: float = 0.75
-    lo_pressure: float = 0.25
-    util_hi: float = 0.95
-    util_lo: float = 0.85
-    patience: int = 8
-    patience_down: int = 32
-    cooldown_s: float = 0.5
-    schedule: tuple = ()
-
-    events: list[ScaleEvent] = field(default_factory=list, init=False)
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.min_nodes <= self.max_nodes:
-            raise ValueError("need 1 <= min_nodes <= max_nodes")
-        if self.initial_nodes is None:
-            self.initial_nodes = self.min_nodes
-        if not self.min_nodes <= self.initial_nodes <= self.max_nodes:
-            raise ValueError("initial_nodes must be in [min_nodes, max_nodes]")
-        if not 0.0 <= self.lo_pressure < self.hi_pressure:
-            raise ValueError("need 0 <= lo_pressure < hi_pressure")
-        if self.util_hi <= 0 or self.util_lo <= 0:
-            raise ValueError("util_hi / util_lo must be positive")
-        if self.patience < 1 or self.patience_down < 1:
-            raise ValueError("patience / patience_down must be >= 1")
-        if self.cooldown_s < 0:
-            raise ValueError("cooldown_s must be non-negative")
-        for entry in self.schedule:
-            time_s, kind = entry
-            if kind not in ("up", "down"):
-                raise ValueError(f"schedule kind must be up/down, got {kind!r}")
-            if time_s < 0:
-                raise ValueError("schedule times must be non-negative")
-        # Shared thrash control (one fleet-wide key): the up/down streaks,
-        # the in-progress freeze, and the post-operation cooldown all live
-        # in the same Hysteresis the switch controller uses per device.
-        self._hysteresis = Hysteresis()
-
-    # ---- lifecycle -------------------------------------------------------
-
-    def clone(self) -> "AutoscaleController":
-        """A fresh controller with the same configuration and no state."""
-        return AutoscaleController(
-            min_nodes=self.min_nodes,
-            max_nodes=self.max_nodes,
-            initial_nodes=self.initial_nodes,
-            hi_pressure=self.hi_pressure,
-            lo_pressure=self.lo_pressure,
-            util_hi=self.util_hi,
-            util_lo=self.util_lo,
-            patience=self.patience,
-            patience_down=self.patience_down,
-            cooldown_s=self.cooldown_s,
-            schedule=self.schedule,
-        )
-
-    # ---- the decision ----------------------------------------------------
-
-    def observe(
-        self, core, path, wait_s: float, queue_s: float, batch_size: int,
-        batch_queries: int, sla_s: float, n_members: int, now: float,
-    ) -> str | None:
-        """One dispatched batch anywhere in the fleet: update the streaks
-        and return ``"up"`` / ``"down"`` when hysteresis says the fleet
-        must move (``None`` otherwise — by far the common case).
-
-        ``wait_s`` is the batch's worst member wait, ``queue_s`` its
-        device-queue component alone; ``batch_size`` counts samples,
-        ``batch_queries`` the queries that carried them; ``n_members`` is
-        the current fleet size (bounds are checked here so a streak at a
-        bound neither fires nor resets the evidence it accumulated).
-        """
-        if self._hysteresis.blocked(_FLEET, now):
-            return None
-        pressure = queue_pressure(wait_s, sla_s)
-        # Window utilization with the floor guard: a path whose singleton
-        # latency already exceeds the timeout would read as saturated
-        # forever, so there the wait/queue pressures are the only
-        # trustworthy signals and util drops out of both branches.
-        util = window_utilization(
-            path, batch_size, core.batcher.timeout_s, floor_guard=True
-        )
-        if pressure >= self.hi_pressure or util >= self.util_hi:
-            # Bounds are checked after the vote so a streak at the fleet
-            # ceiling neither fires nor loses the evidence it accumulated.
-            streak = self._hysteresis.vote(_FLEET, _UP)
-            if streak >= self.patience and n_members < self.max_nodes:
-                self._hysteresis.begin(_FLEET)
-                return "up"
-        elif queue_pressure(queue_s, sla_s) <= self.lo_pressure and (
-            n_members <= 1
-            or util * n_members / (n_members - 1) <= self.util_lo
-        ):
-            streak = self._hysteresis.vote(_FLEET, _DOWN)
-            if streak >= self.patience_down and n_members > self.min_nodes:
-                self._hysteresis.begin(_FLEET)
-                return "down"
-        else:
-            self._hysteresis.clear(_FLEET)
-        return None
-
-    # ---- cluster callbacks -----------------------------------------------
-
-    def on_scale_started(self) -> None:
-        """A forced (scheduled) operation is executing: freeze decisions
-        until it completes, exactly as a pressure-driven one would."""
-        self._hysteresis.begin(_FLEET)
-
-    def on_scale_complete(self, now: float, event: ScaleEvent) -> None:
-        """The operation's handoff finished: record it, reset the
-        evidence, and arm the cooldown."""
-        self.events.append(event)
-        self._hysteresis.complete(_FLEET, now, self.cooldown_s)
-
-    @property
-    def total_warm_s(self) -> float:
-        """Device time blocked by shard warm windows across the run."""
-        return sum(e.warm_s for e in self.events)

@@ -64,15 +64,17 @@ replicas.  The ``"cache-affinity"`` router exploits the tier: it scores
 candidates by shard locality x cache residency instead of ownership
 alone.  See :mod:`repro.serving.cache` and docs/caching.md.
 
-Elasticity: pass an :class:`~repro.serving.autoscale.AutoscaleController`
-and the fleet grows and shrinks mid-run.  Membership is a prefix of the
-node ids; every change re-shards the tables onto the new member count and
-rebuilds the :class:`ShardMap` (a new *epoch*).  A joining node warms its
-shard slice over the fabric before it serves (the warm window is charged
-as a :meth:`~repro.serving.devices.DeviceTimeline.block`); a draining
-node hands its queued queries back through the failover re-injection
-path and lets dispatched batches finish — zero loss, zero waste.  See
-:mod:`repro.serving.autoscale` and docs/autoscaling.md.
+Elasticity: pass a :class:`~repro.serving.controlplane.ControlPlane`
+(``actions=("scale",)`` is the autoscaler on its own; a ``schedule``
+forces membership changes) and the fleet grows and shrinks mid-run.
+Membership is a prefix of the node ids; every change re-shards the tables
+onto the new member count and rebuilds the :class:`ShardMap` (a new
+*epoch*).  A joining node warms its shard slice over the fabric before it
+serves (the warm window is charged as a :meth:`~repro.serving.devices.
+DeviceTimeline.block`); a draining node hands its queued queries back
+through the failover re-injection path and lets dispatched batches finish
+— zero loss, zero waste.  See :mod:`repro.serving.autoscale` and
+docs/autoscaling.md.
 
 A 1-node cluster reproduces :class:`~repro.serving.simulator.
 ServingSimulator` record-for-record (zero exchange, trivial routing) —
@@ -94,7 +96,7 @@ from repro.hardware.topology import (
     LinkSpec,
     alltoall_exchange_time,
 )
-from repro.serving.autoscale import AutoscaleController, ScaleEvent, shard_slice_bytes
+from repro.serving.autoscale import ScaleEvent, shard_slice_bytes
 from repro.serving.cache import CacheConfig, NodeCache
 from repro.serving.controlplane import (
     AutopilotOps,
@@ -113,7 +115,7 @@ from repro.serving.engine import (
 from repro.serving.metrics import CacheStats, ServingResult, StreamingMetrics
 from repro.serving.policies import ShedPolicy, make_policy
 from repro.serving.routing import Router, make_router
-from repro.serving.signals import ExclusionWindow, miss_penalty_s
+from repro.serving.signals import miss_penalty_s
 from repro.serving.workload import ServingScenario
 
 if TYPE_CHECKING:  # importing SwitchEvent at runtime would close a cycle
@@ -250,7 +252,7 @@ class ClusterResult:
     scale_events: list[ScaleEvent] = field(default_factory=list)
     # Every representation switch across the fleet, time-ordered — with
     # ``scale_events`` this is the full control timeline a race between
-    # mechanisms would show up in (tests pin the interlock against it).
+    # mechanisms would show up in (tests pin the plane against it).
     switch_events: list[SwitchEvent] = field(default_factory=list)
     # Fleet-merged MP-Cache tier accounting (None when the tier is off).
     cache: CacheStats | None = None
@@ -319,23 +321,18 @@ class ClusterSimulator:
     copy, so one node's representation switch never leaks into another's
     path set).
 
-    ``autoscale``: optional :class:`~repro.serving.autoscale.
-    AutoscaleController` making the fleet elastic.  The plan must be
-    sized for ``autoscale.max_nodes`` (the fleet ceiling); membership
-    starts at ``autoscale.initial_nodes`` and every change re-shards onto
-    the new member count.  Elasticity and failure injection are mutually
-    exclusive — a failure breaks the membership-prefix invariant the
-    epoch shard maps index by.
-
     ``controlplane``: optional :class:`~repro.serving.controlplane.
-    ControlPlane` — the unified SLO autopilot.  Mutually exclusive with
-    ``autoscale`` (the plane *subsumes* the autoscaler: scale is one of
-    its action classes), subject to the same plan-sizing/failure/
-    replication rules, and composable with ``switch_controller`` (the
-    plane arbitrates, the controller executes and prices) and the cache
-    tier (re-warm and cache-affinity re-routing become candidate
-    actions).  The run's decision trace lands in
-    :attr:`ClusterResult.control_decisions`.
+    ControlPlane` — the unified SLO autopilot, and the one fleet
+    controller: it makes the fleet elastic (scale is one of its action
+    classes).  The plan must be sized for ``controlplane.max_nodes`` (the
+    fleet ceiling); membership starts at ``controlplane.initial_nodes``
+    and every change re-shards onto the new member count.  Elasticity and
+    failure injection are mutually exclusive — a failure breaks the
+    membership-prefix invariant the epoch shard maps index by.  The plane
+    composes with ``switch_controller`` (the plane arbitrates, the
+    controller executes and prices) and the cache tier (re-warm and
+    cache-affinity re-routing become candidate actions).  The run's
+    decision trace lands in :attr:`ClusterResult.control_decisions`.
 
     ``cache_bytes`` / ``cache_policy`` / ``cache_alpha`` /
     ``cache_hot_rows``: the per-node MP-Cache tier.  ``cache_bytes > 0``
@@ -363,7 +360,6 @@ class ClusterSimulator:
         fail_node: int = 0,
         track_energy: bool = True,
         switch_controller=None,
-        autoscale: AutoscaleController | None = None,
         controlplane: ControlPlane | None = None,
         cache_bytes: int = 0,
         cache_policy: str = "lru",
@@ -375,7 +371,6 @@ class ClusterSimulator:
             raise ValueError("node_base must be non-negative")
         if node_base and (
             switch_controller is not None
-            or autoscale is not None
             or controlplane is not None
             or fail_at is not None
         ):
@@ -402,30 +397,23 @@ class ClusterSimulator:
                 )
         if fail_at is not None and not 0 <= fail_node < n_nodes:
             raise ValueError("fail_node out of range")
-        if controlplane is not None and autoscale is not None:
-            raise ValueError(
-                "pass either controlplane or autoscale, not both — the "
-                "autopilot subsumes the autoscaler (scale is one of its "
-                "action classes)"
-            )
-        elastic = controlplane if controlplane is not None else autoscale
-        if elastic is not None:
-            kind = "controlplane" if controlplane is not None else "autoscale"
-            if elastic.max_nodes != n_nodes:
+        if controlplane is not None:
+            if controlplane.max_nodes != n_nodes:
                 raise ValueError(
                     f"the sharding plan is sized for {n_nodes} nodes but "
-                    f"{kind}.max_nodes is {elastic.max_nodes}; build "
-                    "the plan for the fleet ceiling"
+                    f"controlplane.max_nodes is {controlplane.max_nodes}; "
+                    "build the plan for the fleet ceiling"
                 )
             if fail_at is not None:
                 raise ValueError(
                     "elastic membership and failure injection cannot be "
                     "combined"
                 )
-            if replication > elastic.min_nodes:
+            if replication > controlplane.min_nodes:
                 raise ValueError(
-                    f"replication {replication} exceeds {kind}.min_nodes "
-                    f"{elastic.min_nodes}; every epoch must fit its chains"
+                    f"replication {replication} exceeds controlplane."
+                    f"min_nodes {controlplane.min_nodes}; every epoch must "
+                    "fit its chains"
                 )
         if cache_bytes < 0:
             raise ValueError("cache_bytes must be non-negative")
@@ -476,7 +464,6 @@ class ClusterSimulator:
         self.fail_node = fail_node
         self.track_energy = track_energy
         self.switch_controller = switch_controller
-        self.autoscale = autoscale
         self.controlplane = controlplane
         self.scheduler_name = schedulers[0].name
         # Epoch cache: k-member (plan, shard map) pairs are deterministic
@@ -564,10 +551,9 @@ class ClusterSimulator:
                 rewarm_after(core, device, now)
                 on_switch_extra(core, device, now)
 
-        elastic = self.controlplane or self.autoscale
         k_groups = (
-            elastic.initial_nodes
-            if elastic is not None
+            self.controlplane.initial_nodes
+            if self.controlplane is not None
             else self.plan.n_nodes
         )
         cores = []
@@ -641,63 +627,17 @@ class ClusterSimulator:
     def _simulate(self, scenario: ServingScenario, sink) -> ClusterResult:
         n_total = len(self.schedulers)
         plane = self.controlplane.clone() if self.controlplane else None
-        controller = (
-            plane if plane is not None
-            else self.autoscale.clone() if self.autoscale else None
-        )
-        k0 = controller.initial_nodes if controller else n_total
+        k0 = plane.initial_nodes if plane else n_total
         # One scale operation at a time: a join's warm window must finish
         # before the next operation may start, which is what keeps
         # membership a prefix of the node ids (and the epoch shard maps'
         # node indexing sound).
         pending_join: dict | None = None
-
-        # Cross-mechanism interlock (the switch/scale race fix): a
-        # committed scale operation suppresses switch evaluation until
-        # its warm window (or drain cooldown) closes, and a committed
-        # switch suppresses scale evaluation until the device serves
-        # again — a controller reacting to the queue spike the *other*
-        # mechanism induced would thrash at marginal operating points.
-        excl = ExclusionWindow()
-
-        def control_tick(core, tick):
-            # Stacked-but-independent PR-3/4/5 controllers behind the
-            # kernel's single observer: switch first (the PR-3 hook ran
-            # first historically), then the fleet controller.
-            if core.switcher is not None and not excl.blocked(
-                "switch", tick.now
-            ):
-                before = len(core.switcher.events)
-                core.switcher.on_tick(core, tick)
-                if len(core.switcher.events) > before:
-                    excl.acquire(
-                        "switch", core.switcher.events[-1].ready_s
-                    )
-            if controller is None or excl.blocked("scale", tick.now):
-                return
-            decision = controller.observe(
-                core, tick.path, tick.wait_s, tick.queue_s,
-                tick.batch_size, tick.batch_queries, scenario.sla_s,
-                len(state.members), tick.now,
-            )
-            if decision == "up":
-                start_scale_up(tick.now, tick.loop)
-                excl.acquire("scale", pending_join["ready_s"])
-            elif decision == "down":
-                scale_down(tick.now, tick.loop)
-                # A drain has no warm window; hold the interlock for the
-                # controller's own cooldown so a switch cannot fire into
-                # the survivors' inherited-load spike.
-                excl.acquire("scale", tick.now + controller.cooldown_s)
-
-        if plane is not None:
-            # Autopilot mode: the plane IS the single observer (the
-            # stacked path and its exclusion window never run), and the
-            # switch-completion relay releases its fleet hysteresis.
-            on_tick, on_switch_extra = plane.on_tick, plane.on_switch_complete
-        else:
-            on_tick = control_tick if controller else None
-            on_switch_extra = None
+        # The plane is every core's single control observer, and the
+        # switch-completion relay releases its fleet hysteresis.  Without
+        # one, each core's switcher (if any) runs its own rule.
+        on_tick = plane.on_tick if plane else None
+        on_switch_extra = plane.on_switch_complete if plane else None
         state, cores = self._begin_run(k0, on_tick, on_switch_extra)
         cluster = ClusterResult(
             result=sink.result,
@@ -776,7 +716,7 @@ class ClusterSimulator:
                 cache_warm_bytes=join["cache_warm_bytes"],
             )
             cluster.scale_events.append(event)
-            controller.on_scale_complete(now, event)
+            plane.on_scale_complete(now, event)
 
         def scale_down(now, loop):
             node = state.members.pop()
@@ -812,7 +752,7 @@ class ClusterSimulator:
                 cache_donated_bytes=donated_bytes,
             )
             cluster.scale_events.append(event)
-            controller.on_scale_complete(now, event)
+            plane.on_scale_complete(now, event)
 
         def admit(query, now, loop):
             return ledger.admit(query, now, state)
@@ -846,18 +786,15 @@ class ClusterSimulator:
                 # instant it is guaranteed to have completed.
                 loop.push(pending_join["ready_s"], CONTROL, payload)
                 return
-            # A forced membership change perturbs the fleet exactly like
-            # a reactive one: it must hold the same interlock, or the
-            # switch controller reads the join's warm-window queue spike
-            # as switch evidence (the race the interlock exists to fix).
-            if op == "up" and len(state.members) < controller.max_nodes:
-                controller.on_scale_started()
+            # A forced change holds the plane's fleet hysteresis exactly
+            # like a priced one, so no switch reads the join's warm-window
+            # queue spike as evidence.
+            if op == "up" and len(state.members) < plane.max_nodes:
+                plane.on_scale_started()
                 start_scale_up(now, loop)
-                excl.acquire("scale", pending_join["ready_s"])
-            elif op == "down" and len(state.members) > controller.min_nodes:
-                controller.on_scale_started()
+            elif op == "down" and len(state.members) > plane.min_nodes:
+                plane.on_scale_started()
                 scale_down(now, loop)
-                excl.acquire("scale", now + controller.cooldown_s)
 
         if plane is not None:
             plane.begin_run(
@@ -869,8 +806,8 @@ class ClusterSimulator:
         extra_events: list[tuple] = []
         if self.fail_at is not None:
             extra_events.append((self.fail_at, CONTROL, self.fail_node))
-        if controller is not None:
-            for time_s, op in controller.schedule:
+        if plane is not None:
+            for time_s, op in plane.schedule:
                 extra_events.append((time_s, CONTROL, ("scale", op)))
         end_s = run_kernel(
             cores, scenario, sink, admit,

@@ -6,13 +6,11 @@ autoscaling (:mod:`repro.serving.autoscale`), cache warm/donate
 (:mod:`repro.serving.cache`), and cache-affinity routing
 (:mod:`repro.serving.routing`) — each watching the same pressure
 signals through its own thresholds and its own hysteresis.  Stacked,
-they co-exist (the cluster serializes them behind a shared
-:class:`~repro.serving.signals.ExclusionWindow`) but they never *agree*:
-a surge that one warm window would absorb can fire a scale-up **and** a
-switch, and a calm trough drains a node while a calm switch was about to
-recover accuracy on it for free.
+they never *agree*: a surge that one warm window would absorb can fire a
+scale-up **and** a switch, and a calm trough drains a node while a calm
+switch was about to recover accuracy on it for free.
 
-The :class:`ControlPlane` replaces the stack with one arbiter.  Every
+The :class:`ControlPlane` is the cluster's one fleet controller.  Every
 control tick (one :class:`~repro.serving.engine.ControlTick` per
 dispatched batch anywhere in the fleet) it classifies the operating
 point with the shared :mod:`~repro.serving.signals` vocabulary —
@@ -54,23 +52,25 @@ The plane owns patience/cooldown at the *fleet* level; the mechanism
 objects it drives (:meth:`~repro.core.switching.SwitchController.
 start_switch`, the cluster's scale/rewarm/reroute executors) only
 execute and price.  Because one hysteresis serializes every action
-class, the switch/scale race the stacked controllers need an exclusion
-window for cannot occur here by construction.
+class, a switch can never race a scale operation: neither reacts to the
+queue spike the other induced.
 
-The plane duck-types the :class:`~repro.serving.autoscale.
-AutoscaleController` protocol (bounds, ``schedule``, ``clone``,
-``on_scale_started`` / ``on_scale_complete``), so the cluster's
-membership machinery — epochs, warm windows, drains, forced schedules —
-drives it unchanged.  See docs/controlplane.md for the guided tour and
+Any subset of the action classes may be enabled.  ``actions=("scale",)``
+is the fleet autoscaler on its own; ``actions=()`` with a ``schedule``
+forces membership changes at fixed times (the accounting tests' lever).
+The cluster's membership machinery — epochs, warm windows, drains,
+forced schedules — reports back through :meth:`ControlPlane.
+on_scale_started` / :meth:`~ControlPlane.on_scale_complete`.  See
+docs/controlplane.md for the guided tour and
 ``benchmarks/test_ablation_scheduler.py`` for the headline result: on a
-diurnal flash-crowd the autopilot Pareto-dominates every single-mechanism
-baseline and the stacked-but-independent controllers.
+diurnal flash-crowd the autopilot Pareto-dominates every
+single-mechanism baseline.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.serving.autoscale import ScaleEvent
 from repro.serving.signals import (
@@ -183,17 +183,16 @@ class AutopilotOps:
 class ControlPlane:
     """One SLO autopilot arbitrating switch, scale, reroute, and rewarm.
 
-    Construction mirrors :class:`~repro.serving.autoscale.
-    AutoscaleController` (the protocol the cluster's membership
-    machinery drives): fleet bounds, pressure/utilization thresholds,
-    patience and cooldown, an optional forced ``schedule``.  On top of
-    those:
+    Construction: fleet bounds (``min_nodes`` / ``max_nodes``, with
+    membership starting at ``initial_nodes``), pressure/utilization
+    thresholds, patience and cooldown, an optional forced ``schedule``
+    of ``(time_s, "up" | "down")`` membership changes.  On top of those:
 
     ``actions``
         the enabled action classes (any subset of :data:`ACTION_CLASSES`;
         disabling a class removes its candidates from arbitration — the
-        property-test lever that collapses the autopilot onto the
-        stacked or static baselines).
+        lever that collapses the autopilot onto a single mechanism or
+        the static fleet).
     ``horizon_s``
         how far ahead a candidate's recurring costs/savings are priced
         (an extra node's idle draw, a reroute's per-query saving).
@@ -273,22 +272,7 @@ class ControlPlane:
 
     def clone(self) -> "ControlPlane":
         """A fresh plane with the same configuration and no state."""
-        return ControlPlane(
-            min_nodes=self.min_nodes,
-            max_nodes=self.max_nodes,
-            initial_nodes=self.initial_nodes,
-            actions=self.actions,
-            hi_pressure=self.hi_pressure,
-            lo_pressure=self.lo_pressure,
-            util_hi=self.util_hi,
-            util_lo=self.util_lo,
-            patience=self.patience,
-            patience_down=self.patience_down,
-            cooldown_s=self.cooldown_s,
-            horizon_s=self.horizon_s,
-            node_cost_w=self.node_cost_w,
-            schedule=self.schedule,
-        )
+        return replace(self)
 
     def begin_run(self, ops: AutopilotOps) -> None:
         """Bind to one cluster run's executors and clear all state."""
@@ -308,9 +292,8 @@ class ControlPlane:
         operating point, price every candidate, and commit at most one
         action once the fleet-wide hysteresis agrees.
 
-        Wired as every core's ``on_control_tick`` by the cluster's
-        autopilot mode — the single observer that replaced the stacked
-        per-controller hooks."""
+        Wired as every core's ``on_control_tick`` by a cluster built with
+        a plane — the fleet's single control observer."""
         ops = self._ops
         if ops is None:
             raise RuntimeError(
@@ -337,7 +320,7 @@ class ControlPlane:
         elif queue_pressure(tick.queue_s, ops.sla_s) <= self.lo_pressure:
             # Calm keys on the device-queue component alone: at a quiet
             # trough every batch still waits out the flush window, which
-            # must not read as load (same rule as the autoscaler's).
+            # must not read as load.
             mode = "calm"
         else:
             self._hysteresis.clear(core.node_id)
@@ -738,7 +721,7 @@ class ControlPlane:
             return None, None
         return min(viable, key=lambda pair: (pair[0].cost_j, pair[0].action))
 
-    # ---- cluster callbacks (the AutoscaleController protocol) ------------
+    # ---- cluster callbacks -----------------------------------------------
 
     def on_scale_started(self) -> None:
         """A forced (scheduled) membership change is executing: freeze

@@ -312,9 +312,9 @@ class ControlTick:
     The kernel emits exactly one of these per dispatch — including fully
     shed batches, whose pressure is the strongest overload evidence there
     is — and hands it to the core's single ``on_control_tick`` observer.
-    Every controller in the repo (switch, autoscale, the unified control
-    plane) reads load from this record and nothing else, so the signals
-    cannot drift between them.
+    Every controller in the repo (the switch controller and the unified
+    control plane) reads load from this record and nothing else, so the
+    signals cannot drift between them.
 
     ``wait_s`` is the batch's worst member wait (batching fill + device
     queue — what its oldest member endured); ``queue_s`` the device-queue
@@ -369,9 +369,8 @@ class EngineCore:
     observer: one :class:`ControlTick` per dispatched batch, shed or
     served.  It replaces the PR 3-5 pattern of per-controller hooks
     (``switcher.observe`` + ``on_dispatch``) — a façade installs exactly
-    one handler and fans out inside it (the cluster stacks switch +
-    autoscale behind a shared exclusion window, or hands the tick to the
-    unified :class:`~repro.serving.controlplane.ControlPlane`).  When no
+    one handler (the cluster hands every tick to the unified
+    :class:`~repro.serving.controlplane.ControlPlane`).  When no
     handler is given and a ``switcher`` is, the switcher's own
     :meth:`~repro.core.switching.SwitchController.on_tick` is wired by
     default, so single-node switching needs no extra plumbing.

@@ -22,8 +22,8 @@ map, router, and fabric pricing.  One
 the whole fleet's books: node-seconds and idle energy, edge admission,
 and the displaced-query ledger behind failover.  Member clusters must
 be plain serving clusters — the region tier owns failure injection, and
-per-cluster controllers (switching/autoscale/autopilot) are not composed
-here.
+per-cluster controllers (a switch controller or a control plane) are not
+composed here.
 
 Traffic model: every query has a *home* region (``region_of``, typically
 from :func:`~repro.experiments.setup.follow_the_sun_scenario`, which
@@ -362,7 +362,6 @@ class RegionSimulator:
                 )
             if (
                 cluster.switch_controller is not None
-                or cluster.autoscale is not None
                 or cluster.controlplane is not None
                 or cluster.fail_at is not None
             ):

@@ -9,8 +9,8 @@ three ideas:
 
 - **pressure** — a queueing delay measured against the SLA
   (:func:`queue_pressure`), computed identically by the switch
-  controller (the batch's oldest-member wait), the autoscaler (the
-  worst member wait fleet-wide), and the unified control plane;
+  controller and the unified control plane (the batch's oldest-member
+  wait);
 - **window utilization** — the resident path's service time for the
   current batch mix against the batching window
   (:func:`window_utilization`), the *leading* overload indicator that
@@ -20,16 +20,13 @@ three ideas:
   completes (:class:`Hysteresis`).
 
 This module is where those live now, in exactly one place, so the
-signals cannot drift between controllers.  The standalone controllers
-keep their exact PR-3/PR-4 decision rules on top of these primitives;
-the :class:`~repro.serving.controlplane.ControlPlane` arbitrates all
-four mechanisms against one cost function using the same primitives.
-
-:class:`ExclusionWindow` is the cross-mechanism interlock: a committed
-scale operation suppresses switch evaluation until its warm window
-closes (and vice versa), which is what stops a switch and a scale-down
-from racing at a marginal operating point — the thrash reproduced by
-``tests/unit/test_controlplane.py``.
+signals cannot drift between controllers.  The single-node
+:class:`~repro.core.switching.SwitchController` keeps its own decision
+rule on top of these primitives; the
+:class:`~repro.serving.controlplane.ControlPlane` arbitrates every fleet
+mechanism against one cost function using the same primitives, and its
+one fleet-wide hysteresis key serializes switches and scale operations,
+so neither reacts to the queue spike the other induced.
 """
 
 from __future__ import annotations
@@ -39,10 +36,8 @@ def queue_pressure(wait_s: float, sla_s: float) -> float:
     """Queueing delay as a fraction of the SLA — the shared pressure signal.
 
     Every controller in the repo reads load the same way: ``wait_s`` is a
-    queueing delay (the batch's oldest-member wait for the switch
-    controller and the control plane, the worst member wait for the
-    autoscaler, the device-queue component alone for calm checks) and the
-    SLA is the yardstick.  >= 1 means the delay alone already blows the
+    queueing delay (the batch's oldest-member wait, or the device-queue
+    component alone for calm checks) and the SLA is the yardstick.  >= 1 means the delay alone already blows the
     target.
     """
     return wait_s / sla_s
@@ -62,9 +57,8 @@ def window_utilization(
     serve even a singleton within the window (``latency(1) >=
     timeout_s``): such a path would read as saturated forever, so the
     wait/queue pressures are the only trustworthy signals there.  The
-    autoscaler and the control plane guard; the switch controller does
-    not — a floor-saturated residency is exactly what it must switch
-    away from.
+    control plane guards; the switch controller does not — a
+    floor-saturated residency is exactly what it must switch away from.
     """
     if timeout_s <= 0:
         return 0.0
@@ -90,8 +84,8 @@ class Hysteresis:
     """Keyed thrash control: patience streaks, busy windows, cooldowns.
 
     One instance serves one controller.  Keys scope the state — the
-    switch controller keys by device name, the autoscaler and the
-    control plane by the fleet — and each key carries:
+    switch controller keys by device name, the control plane by node and
+    by the fleet — and each key carries:
 
     - a **streak**: consecutive :meth:`vote` calls agreeing on one
       target (targets compare by ``==``; pass ``id(obj)`` to get
@@ -130,7 +124,7 @@ class Hysteresis:
 
         The caller compares the count against its own patience and
         decides; bounds stay the caller's concern so a blocked streak
-        keeps accumulating (see the autoscaler's bound semantics).
+        keeps accumulating (see the control plane's bound semantics).
         """
         prev, count = self._streaks.get(key, (None, 0))
         count = count + 1 if prev == target else 1
@@ -151,31 +145,3 @@ class Hysteresis:
         self._busy.discard(key)
         self._cooldown_until[key] = now + cooldown_s
 
-
-class ExclusionWindow:
-    """Cross-mechanism interlock: at most one control domain acts at a time.
-
-    Each domain (``"switch"``, ``"scale"``) :meth:`acquire`\\ s the window
-    up to the instant its committed action stops perturbing the fleet —
-    a join's warm completion, a switch's ready time, a drain's cooldown.
-    While any *other* domain holds the window, :meth:`blocked` suppresses
-    evaluation entirely: the queue spike a scale operation induces must
-    not read as switch evidence, and vice versa.  A domain never blocks
-    itself — its own serialization is its controller's busy state.
-    """
-
-    __slots__ = ("_until",)
-
-    def __init__(self) -> None:
-        self._until: dict[str, float] = {}
-
-    def acquire(self, domain: str, until: float) -> None:
-        """Hold the window for ``domain`` until ``until`` (monotone)."""
-        if until > self._until.get(domain, 0.0):
-            self._until[domain] = until
-
-    def blocked(self, domain: str, now: float) -> bool:
-        """True while another domain's committed action is still open."""
-        return any(
-            d != domain and now < until for d, until in self._until.items()
-        )

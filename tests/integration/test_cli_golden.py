@@ -15,7 +15,7 @@ import contextlib
 import io
 import pathlib
 
-from repro.cli import main
+from repro.cli import _SERVE_RULES, _serve_facts, build_parser, main
 
 GOLDEN = pathlib.Path(__file__).with_name("golden") / "serve.txt"
 
@@ -134,6 +134,19 @@ def render() -> str:
 
 def test_serve_output_matches_golden():
     assert render() == GOLDEN.read_text()
+
+
+def test_one_rejection_per_rule():
+    # Each case trips its own rule first, in table order, so the golden
+    # file pins every rule's message.
+    parser = build_parser()
+    first = []
+    for _, argv in REJECTIONS:
+        facts = _serve_facts(parser.parse_args(["serve", *argv]))
+        first.append(next(
+            i for i, (broken, _) in enumerate(_SERVE_RULES) if broken(facts)
+        ))
+    assert first == list(range(len(_SERVE_RULES)))
 
 
 if __name__ == "__main__":

@@ -41,8 +41,8 @@ from repro.core.online import (
 )
 from repro.data.queries import Query, QuerySet
 from repro.hardware.catalog import CPU_BROADWELL, GPU_V100
-from repro.serving.autoscale import AutoscaleController
 from repro.serving.cluster import ClusterSimulator
+from repro.serving.controlplane import ControlPlane
 from repro.serving.metrics import P2Quantile, ReservoirSampler
 from repro.serving.simulator import ReferenceSimulator, ServingSimulator
 from repro.serving.workload import ServingScenario, TenantSpec
@@ -215,11 +215,10 @@ def test_scale_2_4_2_accounts_every_query_exactly_once(
     scheduler = build_scheduler(sched_kind)
     scenario = build_scenario(gaps, sizes, sla)
     horizon = scenario.queries.queries[-1].arrival_s or 1e-3
-    controller = AutoscaleController(
+    plane = ControlPlane(
         min_nodes=2, max_nodes=4,
-        # Pressure never fires; the forced schedule drives membership.
-        hi_pressure=1e9, lo_pressure=0.0, patience=10**9,
-        patience_down=10**9, cooldown_s=0.0,
+        # No action class: the forced schedule drives membership.
+        actions=(),
         schedule=(
             (horizon * 0.2, "up"), (horizon * 0.4, "up"),
             (horizon * 0.6, "down"), (horizon * 0.8, "down"),
@@ -229,7 +228,7 @@ def test_scale_2_4_2_accounts_every_query_exactly_once(
     cluster = ClusterSimulator(
         scheduler, plan, router=router, replication=replication,
         shed_policy=policy, max_batch_size=batch, batch_timeout_s=0.001,
-        autoscale=controller,
+        controlplane=plane,
     )
     result = cluster.run(scenario)
     assert result.scale_ups == 2 and result.scale_downs == 2
@@ -285,10 +284,10 @@ def test_node_failure_accounts_every_query_exactly_once(
 def test_elastic_cluster_is_noop_when_controller_never_fires(
     gaps, sizes, sla, policy, batch, sched_kind, tenants
 ):
-    """With min == max == initial membership the autoscale plumbing (epoch
-    state, dispatch observer, membership-aware routing) must be a strict
-    no-op: the elastic fleet reproduces the static 4-node run record for
-    record."""
+    """With min == max == initial membership the elastic plumbing (epoch
+    state, the plane as dispatch observer, membership-aware routing) must
+    be a strict no-op: the elastic fleet reproduces the static 4-node run
+    record for record."""
     scheduler = build_scheduler(sched_kind)
     scenario = build_scenario(gaps, sizes, sla, tenants=tenants)
     plan = greedy_shard([1000, 2000, 500, 1500], 16, 4)
@@ -299,7 +298,9 @@ def test_elastic_cluster_is_noop_when_controller_never_fires(
     elastic = ClusterSimulator(
         scheduler, plan, shed_policy=policy, max_batch_size=batch,
         batch_timeout_s=0.001,
-        autoscale=AutoscaleController(min_nodes=4, max_nodes=4),
+        controlplane=ControlPlane(
+            min_nodes=4, max_nodes=4, actions=("scale",)
+        ),
     )
     expected = sorted_records(static.run(scenario).result)
     got = sorted_records(elastic.run(scenario).result)

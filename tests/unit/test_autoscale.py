@@ -1,6 +1,9 @@
-"""Unit tests for elastic autoscaling: the controller's hysteresis, the
-shard-slice warm pricing, and the cluster's scale mechanics (membership,
-handoff, zero-loss drain, node-seconds accounting)."""
+"""Unit tests for elastic autoscaling — the control plane's scale action:
+its decision rule and hysteresis, the shard-slice warm pricing, and the
+cluster's scale mechanics (membership, handoff, zero-loss drain,
+node-seconds accounting)."""
+
+import dataclasses
 
 import pytest
 
@@ -9,11 +12,10 @@ from repro.core.online import StaticScheduler
 from repro.data.queries import Query, QuerySet
 from repro.hardware.catalog import CPU_BROADWELL
 from repro.hardware.topology import ETHERNET_100G
-from repro.serving.autoscale import (
-    AutoscaleController,
-    shard_slice_bytes,
-)
+from repro.serving.autoscale import ScaleEvent, shard_slice_bytes
 from repro.serving.cluster import ClusterSimulator
+from repro.serving.controlplane import AutopilotOps, ControlPlane
+from repro.serving.engine import ControlTick
 from repro.serving.workload import ServingScenario
 
 from tests.unit.test_online import fake_path
@@ -34,141 +36,158 @@ def steady_scenario(n=400, qps=4000.0, sla_s=SLA_S):
     return ServingScenario(queries=QuerySet(queries=queries), sla_s=sla_s)
 
 
-def elastic_cluster(max_nodes=4, schedule=(), replication=1, **controller_kwargs):
-    controller = AutoscaleController(
-        min_nodes=max(2, replication), max_nodes=max_nodes,
+def elastic_cluster(max_nodes=4, schedule=(), replication=1):
+    # No action class enabled: the forced schedule alone drives membership.
+    plane = ControlPlane(
+        min_nodes=max(2, replication), max_nodes=max_nodes, actions=(),
         schedule=schedule,
-        # Pressure thresholds that never fire by themselves unless a test
-        # overrides them: forced schedules drive the membership instead.
-        **{"hi_pressure": 1e9, "lo_pressure": 0.0, "patience": 10**9,
-           "patience_down": 10**9, **controller_kwargs},
     )
     plan = greedy_shard([4000, 3000, 2000, 1000], 16, max_nodes)
     return ClusterSimulator(
         scheduler(), plan, replication=replication,
-        max_batch_size=4, batch_timeout_s=0.001, autoscale=controller,
+        max_batch_size=4, batch_timeout_s=0.001, controlplane=plane,
     )
 
 
-class TestControllerValidation:
-    def test_bounds(self):
-        with pytest.raises(ValueError):
-            AutoscaleController(min_nodes=3, max_nodes=2)
-        with pytest.raises(ValueError):
-            AutoscaleController(min_nodes=0, max_nodes=2)
-        with pytest.raises(ValueError):
-            AutoscaleController(min_nodes=1, max_nodes=4, initial_nodes=5)
-
-    def test_thresholds_and_patience(self):
-        with pytest.raises(ValueError):
-            AutoscaleController(1, 2, hi_pressure=0.2, lo_pressure=0.5)
-        with pytest.raises(ValueError):
-            AutoscaleController(1, 2, patience=0)
-        with pytest.raises(ValueError):
-            AutoscaleController(1, 2, cooldown_s=-1.0)
-
-    def test_schedule_validation(self):
-        with pytest.raises(ValueError):
-            AutoscaleController(1, 2, schedule=((0.1, "sideways"),))
-        with pytest.raises(ValueError):
-            AutoscaleController(1, 2, schedule=((-0.1, "up"),))
-
-    def test_initial_defaults_to_min(self):
-        assert AutoscaleController(2, 5).initial_nodes == 2
-
-
 class FakeCore:
-    """Just enough of an EngineCore for controller.observe()."""
+    """Just enough of an EngineCore for the plane's scale rule."""
 
     class _Batcher:
         timeout_s = 0.002
         max_batch_size = 8
 
     batcher = _Batcher()
+    node_id = 0
+    switcher = None
+    cache = None
 
 
 class TestControllerDecision:
-    PATH = fake_path("table", CPU_BROADWELL, 78.79, 1e-5, per_sample=1e-7)
+    """The plane's scale rule (``actions=("scale",)``), tick by tick."""
 
-    def controller(self, **kwargs):
+    PATH = fake_path("table", CPU_BROADWELL, 78.79, 1e-5, per_sample=1e-7)
+    DT = 0.005  # one tick, one query, every 5 ms
+
+    def plane(self, n_members=2, **kwargs):
         defaults = dict(
-            min_nodes=1, max_nodes=4, hi_pressure=0.75, lo_pressure=0.25,
-            util_hi=0.95, patience=3, patience_down=4, cooldown_s=1.0,
+            min_nodes=1, max_nodes=4, actions=("scale",), hi_pressure=0.75,
+            lo_pressure=0.25, util_hi=0.95, patience=3, patience_down=4,
+            cooldown_s=1.0,
         )
         defaults.update(kwargs)
-        return AutoscaleController(**defaults)
+        plane = ControlPlane(**defaults)
+        self.members = n_members
+        self.fired = []
+        plane.begin_run(AutopilotOps(
+            sla_s=SLA_S,
+            n_members=lambda: self.members,
+            idle_w=lambda: 100.0,
+            predict_join_warm_s=lambda: 0.01,
+            start_scale_up=lambda now, loop: self.fired.append("up"),
+            scale_down=lambda now, loop: self.fired.append("down"),
+        ))
+        # Twenty seconds of the demand the ticks keep up: the drain
+        # guard reads the arrival-rate trend as flat, not rising.
+        self.now = 0.0
+        for _ in range(4000):
+            self.now += self.DT
+            plane._observe_demand(self.now, 1)
+        return plane
 
-    def observe(self, ctl, wait_s, queue_s, n_members=2, now=0.0, batch=1):
-        return ctl.observe(
-            FakeCore(), self.PATH, wait_s, queue_s, batch, batch,
-            SLA_S, n_members, now,
-        )
+    def tick(self, plane, wait_s, queue_s, batch=1):
+        """One dispatched batch: the scale action it fired, if any."""
+        self.now += self.DT
+        before = len(self.fired)
+        plane.on_tick(FakeCore(), ControlTick(
+            self.PATH, wait_s, queue_s, 0.0, batch, 1, self.now, None, None,
+        ))
+        return self.fired[-1] if len(self.fired) > before else None
 
     def test_surge_after_patience(self):
-        ctl = self.controller()
+        plane = self.plane()
         hot = 0.9 * SLA_S
-        assert self.observe(ctl, hot, hot) is None
-        assert self.observe(ctl, hot, hot) is None
-        assert self.observe(ctl, hot, hot) == "up"
+        assert self.tick(plane, hot, hot) is None
+        assert self.tick(plane, hot, hot) is None
+        assert self.tick(plane, hot, hot) == "up"
 
     def test_surge_streak_resets_in_band(self):
-        ctl = self.controller()
+        plane = self.plane()
         hot, mid = 0.9 * SLA_S, 0.5 * SLA_S
-        self.observe(ctl, hot, hot)
-        self.observe(ctl, hot, hot)
-        self.observe(ctl, mid, mid)  # band: resets the streak
-        assert self.observe(ctl, hot, hot) is None
+        self.tick(plane, hot, hot)
+        self.tick(plane, hot, hot)
+        self.tick(plane, mid, mid)  # band: resets the streak
+        assert self.tick(plane, hot, hot) is None
 
     def test_calm_uses_queue_component_not_fill_wait(self):
         # A trough batch waits out the flush window (large wait_s) but has
         # an empty device queue: that is calm, not band.
-        ctl = self.controller()
+        plane = self.plane()
         fill = 0.6 * SLA_S
         for _ in range(3):
-            assert self.observe(ctl, fill, 0.0) is None
-        assert self.observe(ctl, fill, 0.0) == "down"
+            assert self.tick(plane, fill, 0.0) is None
+        assert self.tick(plane, fill, 0.0) == "down"
 
     def test_calm_blocked_by_postdrain_projection(self):
         # Large batches (high window utilization) forbid draining even
         # with an empty queue: the survivors could not absorb the load.
-        ctl = self.controller(util_lo=0.1)
+        plane = self.plane(util_lo=0.1)
         for _ in range(10):
-            assert self.observe(ctl, 0.0, 0.0, batch=4096) is None
+            assert self.tick(plane, 0.0, 0.0, batch=4096) is None
 
     def test_bounds_gate_firing(self):
-        ctl = self.controller()
+        # At a fleet bound the action is infeasible, but the evidence is
+        # kept: the first tick after the bound moves fires at once.
+        plane = self.plane(n_members=4)
         hot = 0.9 * SLA_S
         for _ in range(5):
-            assert self.observe(ctl, hot, hot, n_members=4) is None
-        calm_ctl = self.controller()
+            assert self.tick(plane, hot, hot) is None
+        self.members = 3
+        assert self.tick(plane, hot, hot) == "up"
+        plane = self.plane(n_members=1)
         for _ in range(6):
-            assert self.observe(calm_ctl, 0.0, 0.0, n_members=1) is None
+            assert self.tick(plane, 0.0, 0.0) is None
+        self.members = 2
+        assert self.tick(plane, 0.0, 0.0) == "down"
 
     def test_in_progress_and_cooldown_gate(self):
-        ctl = self.controller()
+        plane = self.plane()
         hot = 0.9 * SLA_S
         for _ in range(2):
-            self.observe(ctl, hot, hot)
-        assert self.observe(ctl, hot, hot) == "up"
+            self.tick(plane, hot, hot)
+        assert self.tick(plane, hot, hot) == "up"
         # In progress: frozen.
-        assert self.observe(ctl, hot, hot) is None
-        from repro.serving.autoscale import ScaleEvent
-        ctl.on_scale_complete(0.0, ScaleEvent(0.0, 0.0, "up", 2, 3))
+        assert self.tick(plane, hot, hot) is None
+        plane.on_scale_complete(
+            self.now, ScaleEvent(self.now, self.now, "up", 2, 3)
+        )
         # Cooldown (1 s): still frozen...
         for _ in range(5):
-            assert self.observe(ctl, hot, hot, now=0.5) is None
-        # ...then live again.
+            assert self.tick(plane, hot, hot) is None
+        # ...then live again, on fresh evidence.
+        self.now += 1.0
         for _ in range(2):
-            assert self.observe(ctl, hot, hot, now=1.5) is None
-        assert self.observe(ctl, hot, hot, now=1.5) == "up"
+            assert self.tick(plane, hot, hot) is None
+        assert self.tick(plane, hot, hot) == "up"
 
     def test_clone_copies_config_not_state(self):
-        ctl = self.controller()
+        plane = self.plane(initial_nodes=2, schedule=((0.5, "up"),))
         hot = 0.9 * SLA_S
-        self.observe(ctl, hot, hot)
-        clone = ctl.clone()
-        assert clone.patience == ctl.patience
-        assert not clone._hysteresis._streaks and not clone.events
+        for _ in range(3):
+            self.tick(plane, hot, hot)
+        plane.on_scale_complete(
+            self.now, ScaleEvent(self.now, self.now, "up", 2, 3)
+        )
+        assert plane.decisions and plane.events
+        clone = plane.clone()
+        for f in dataclasses.fields(ControlPlane):
+            if f.init:
+                assert getattr(clone, f.name) == getattr(plane, f.name)
+        assert clone.events == [] and clone.decisions == []
+        assert clone._ops is None and clone._demand_t is None
+        assert clone._demand_fast == clone._demand_slow == 0.0
+        assert clone._inflight_switches == 0
+        assert not clone._hysteresis.blocked("fleet", self.now)
+        assert not clone._hysteresis._streaks
 
 
 class TestShardSliceBytes:
@@ -270,31 +289,42 @@ class TestClusterScaling:
         assert first.result.records == second.result.records
 
     def test_pressure_driven_scale_up_and_down(self):
-        # A saturating burst then silence: the fleet grows under pressure
-        # and drains back to the floor.
-        controller = AutoscaleController(
-            min_nodes=1, max_nodes=3, hi_pressure=0.75, lo_pressure=0.25,
-            patience=2, patience_down=4, cooldown_s=0.0,
-        )
-        plan = greedy_shard([4000, 3000, 2000], 16, 3)
-        sim = ClusterSimulator(
-            scheduler(), plan, max_batch_size=4, batch_timeout_s=0.001,
-            autoscale=controller,
-        )
-        burst = [Query(index=i, size=64, arrival_s=i * 1e-4) for i in range(120)]
-        tail = [
-            Query(index=120 + i, size=1, arrival_s=0.5 + i * 0.01)
-            for i in range(80)
-        ]
-        scenario = ServingScenario(
-            queries=QuerySet(queries=burst + tail), sla_s=SLA_S
-        )
-        result = sim.run(scenario)
+        # A saturating burst then a trickle: the fleet grows under
+        # pressure, and every query is accounted exactly once.
+        result = self.burst_then_trickle(80)
+        assert result.scale_ups >= 1
+        assert result.lost == 0
+        indices = sorted(r.index for r in result.result.records)
+        assert indices == list(range(200))
+        # The plane drains only once its 0.5 s demand average stops
+        # running ahead of its 2 s one; an 8 s trickle outlasts the
+        # burst's echo and drains back toward the floor.
+        result = self.burst_then_trickle(800)
         assert result.scale_ups >= 1
         assert result.scale_downs >= 1
         assert result.lost == 0
         indices = sorted(r.index for r in result.result.records)
-        assert indices == list(range(200))
+        assert indices == list(range(920))
+
+    def burst_then_trickle(self, n_tail):
+        plane = ControlPlane(
+            min_nodes=1, max_nodes=3, actions=("scale",), hi_pressure=0.75,
+            lo_pressure=0.25, patience=2, patience_down=4, cooldown_s=0.0,
+        )
+        plan = greedy_shard([4000, 3000, 2000], 16, 3)
+        sim = ClusterSimulator(
+            scheduler(), plan, max_batch_size=4, batch_timeout_s=0.001,
+            controlplane=plane,
+        )
+        burst = [Query(index=i, size=64, arrival_s=i * 1e-4) for i in range(120)]
+        tail = [
+            Query(index=120 + i, size=1, arrival_s=0.5 + i * 0.01)
+            for i in range(n_tail)
+        ]
+        scenario = ServingScenario(
+            queries=QuerySet(queries=burst + tail), sla_s=SLA_S
+        )
+        return sim.run(scenario)
 
 
 class TestClusterValidation:
@@ -303,7 +333,7 @@ class TestClusterValidation:
         with pytest.raises(ValueError, match="max_nodes"):
             ClusterSimulator(
                 scheduler(), plan,
-                autoscale=AutoscaleController(min_nodes=1, max_nodes=4),
+                controlplane=ControlPlane(min_nodes=1, max_nodes=4),
             )
 
     def test_no_failure_injection_with_autoscale(self):
@@ -311,7 +341,7 @@ class TestClusterValidation:
         with pytest.raises(ValueError, match="failure"):
             ClusterSimulator(
                 scheduler(), plan, fail_at=0.1,
-                autoscale=AutoscaleController(min_nodes=1, max_nodes=3),
+                controlplane=ControlPlane(min_nodes=1, max_nodes=3),
             )
 
     def test_replication_bounded_by_floor(self):
@@ -319,5 +349,5 @@ class TestClusterValidation:
         with pytest.raises(ValueError, match="replication"):
             ClusterSimulator(
                 scheduler(), plan, replication=2,
-                autoscale=AutoscaleController(min_nodes=1, max_nodes=3),
+                controlplane=ControlPlane(min_nodes=1, max_nodes=3),
             )

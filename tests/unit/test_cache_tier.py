@@ -10,9 +10,9 @@ from repro.core.switching import SwitchController
 from repro.data.queries import Query, QuerySet
 from repro.hardware.catalog import GPU_V100
 from repro.hardware.topology import ETHERNET_25G
-from repro.serving.autoscale import AutoscaleController
 from repro.serving.cache import CacheConfig, NodeCache
 from repro.serving.cluster import ClusterSimulator, ShardMap
+from repro.serving.controlplane import ControlPlane
 from repro.serving.workload import ServingScenario
 
 from tests.unit.test_online import fake_path
@@ -342,14 +342,14 @@ class TestAutoscaleCache:
         # Replication 1, so every epoch leaves each node with non-owned
         # groups — the ones its cache serves (at full replication there
         # is nothing to cache and joins/drains move no cache bytes).
-        controller = AutoscaleController(
-            min_nodes=2, max_nodes=3, schedule=schedule,
+        plane = ControlPlane(
+            min_nodes=2, max_nodes=3, actions=(), schedule=schedule,
         )
         plan = greedy_shard([50_000, 40_000, 30_000, 20_000], DIM, 3)
         return ClusterSimulator(
             StaticScheduler([_path()]), plan, router="cache-affinity",
             replication=1, link=ETHERNET_25G, track_energy=False,
-            cache_bytes=1 << 20, autoscale=controller,
+            cache_bytes=1 << 20, controlplane=plane,
         )
 
     def test_join_warms_cache_inside_the_charged_window(self):

@@ -17,6 +17,34 @@ class TestParser:
         assert args.scheduler == "mp-rec"
         assert args.sla_ms == 10.0
 
+    def reject(self, capsys, flag, value, *extra):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", flag, value, *extra])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be" in capsys.readouterr().err
+
+    def test_serve_qps_must_be_positive(self, capsys):
+        self.reject(capsys, "--qps", "0")
+        self.reject(capsys, "--qps", "-5")
+        self.reject(capsys, "--qps", "nan")
+
+    def test_serve_sla_must_be_positive(self, capsys):
+        # A zero SLA would divide by zero in the controllers' pressure.
+        self.reject(capsys, "--sla-ms", "0", "--switching")
+        self.reject(capsys, "--sla-ms", "-1")
+
+    def test_serve_queries_must_be_non_negative(self, capsys):
+        self.reject(capsys, "--queries", "-5")
+        assert build_parser().parse_args(
+            ["serve", "--queries", "0"]
+        ).queries == 0
+
+    def test_serve_batch_timeout_must_be_non_negative(self, capsys):
+        self.reject(capsys, "--batch-timeout-ms", "-1")
+        assert build_parser().parse_args(
+            ["serve", "--batch-timeout-ms", "0"]
+        ).batch_timeout_ms == 0.0
+
 
 class TestCommands:
     def test_train(self, capsys):
@@ -209,12 +237,20 @@ class TestCommands:
         ])
         assert code == 2
         assert "cooldown" in capsys.readouterr().err
-        # The trace length is meaningless without a decision trace.
-        code = main(["serve", "--trace-decisions", "4", "--queries", "10"])
-        assert code == 2
-        assert "--trace-decisions requires --autopilot" in (
-            capsys.readouterr().err
-        )
+        # The trace length is meaningless without a decision trace, even
+        # when it equals the default.
+        for n in ("4", "8"):
+            code = main(["serve", "--trace-decisions", n, "--queries", "10"])
+            assert code == 2
+            assert "--trace-decisions requires --autopilot" in (
+                capsys.readouterr().err
+            )
+        # A negative length would slice the trace from its end.
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--autopilot", "--nodes", "2",
+                  "--trace-decisions", "-1"])
+        assert exc.value.code == 2
+        assert "argument --trace-decisions" in capsys.readouterr().err
         # A 1-node "fleet" and the failure drill are rejected like
         # --autoscale.
         code = main(["serve", "--autopilot", "--queries", "10"])

@@ -1,7 +1,7 @@
 """Unified control plane: configuration validation, the cost-based
 arbitration rule, the demand-trend drain guard, the decision trace, the
-switch/scale race interlock, and the parity properties that collapse the
-autopilot onto the stacked and static baselines."""
+switch/scale race it rules out, and the parity properties that collapse
+the autopilot onto per-core switching and the static fleet."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from repro.core.switching import SwitchController
 from repro.data.queries import Query, QuerySet
 from repro.hardware.catalog import GPU_V100
 from repro.hardware.topology import ETHERNET_25G
-from repro.serving.autoscale import AutoscaleController
 from repro.serving.cluster import ClusterSimulator
 from repro.serving.controlplane import (
     ACTION_CLASSES,
@@ -22,13 +21,12 @@ from repro.serving.controlplane import (
     ControlPlane,
     format_decision,
 )
-from repro.serving.signals import ExclusionWindow
 from repro.serving.workload import ServingScenario
 
 SLA_S = 0.015
 SIZES = np.unique(np.geomspace(1, 4096, 25).astype(int)).astype(float)
 
-# Thresholds no workload reaches: the plane (or a stacked controller)
+# Thresholds no workload reaches: the plane (or a switch controller)
 # classifies every tick but never accumulates enough evidence to act.
 NEVER = {
     "hi_pressure": 1e9, "lo_pressure": 0.0,
@@ -291,45 +289,28 @@ class TestAutopilotRun:
 
 
 class TestRaceInterlock:
-    """The switch/scale race fix: one control domain acts at a time."""
+    """The switch/scale race: one fleet hysteresis serializes both."""
 
-    def test_exclusion_window_blocks_other_domain_only(self):
-        excl = ExclusionWindow()
-        excl.acquire("scale", 1.0)
-        assert excl.blocked("switch", 0.5)
-        assert not excl.blocked("scale", 0.5)  # never blocks itself
-        assert not excl.blocked("switch", 1.0)  # boundary is open
-
-    def test_acquire_is_monotone(self):
-        excl = ExclusionWindow()
-        excl.acquire("switch", 2.0)
-        excl.acquire("switch", 1.0)  # must not shorten the hold
-        assert excl.blocked("scale", 1.5)
-
-    def test_stacked_switch_waits_out_join_warm_window(self):
-        # Regression for the switch/scale race: a scheduled join opens a
-        # long warm window (big shard slice over a 25G link) before the
-        # saturated ACCURATE fleet accumulates switch patience.  Without
-        # the interlock the switch fires INTO the warm window — reacting
+    def test_switch_waits_out_join_warm_window(self):
+        # A scheduled join opens a long warm window (big shard slice over
+        # a 25G link) before the saturated ACCURATE fleet accumulates
+        # switch patience.  The forced join holds the plane's fleet
+        # hysteresis, so no switch fires INTO the warm window — reacting
         # to the queue spike the join itself induced.
         plan = greedy_shard([4_000_000, 3_000_000, 2_000_000], 16, 3)
-        controller = AutoscaleController(
-            min_nodes=2, max_nodes=3, schedule=((0.001, "up"),), **NEVER
+        plane = ControlPlane(
+            min_nodes=2, max_nodes=3, actions=("switch",), patience=2,
+            cooldown_s=0.05, schedule=((0.001, "up"),),
         )
         cluster = ClusterSimulator(
             StaticScheduler([accurate_path()]), plan,
             link=ETHERNET_25G, max_batch_size=8, batch_timeout_s=0.004,
-            switch_controller=make_switcher(patience=2, cooldown_s=0.05),
-            autoscale=controller,
+            switch_controller=make_switcher(), controlplane=plane,
         )
         res = cluster.run(burst_scenario())
         joins = [e for e in res.scale_events if e.kind == "up"]
         assert joins and res.switch_events, "scenario must exercise both"
-        ready = joins[0].ready_s
-        assert ready > res.switch_events[0].time_s or all(
-            sw.time_s >= ready for sw in res.switch_events
-        )
-        # And in general: no switch decision inside any scale window.
+        assert res.switch_events[0].time_s >= joins[0].ready_s
         for event in joins:
             for sw in res.switch_events:
                 assert not (event.time_s < sw.time_s < event.ready_s)
@@ -337,7 +318,7 @@ class TestRaceInterlock:
 
 class TestParity:
     """The property levers: with its actions stripped, the autopilot IS
-    the stacked wiring; with unreachable thresholds, the static fleet."""
+    per-core switching; with unreachable thresholds, the static fleet."""
 
     def records_of(self, cluster):
         res = cluster.run(burst_scenario(n=800))
@@ -345,22 +326,15 @@ class TestParity:
 
     def test_no_actions_matches_stacked_never_firing(self):
         # Same fleet, same switcher template, two wirings of the control
-        # tick: the plane with every action class disabled vs the
-        # stacked observers whose controllers never accumulate evidence.
-        # Record-for-record the same serving history.
+        # tick: the plane with every action class disabled vs per-core
+        # switchers running their own rule, whose thresholds never
+        # accumulate evidence.  Record-for-record the same serving history.
         plane = ControlPlane(min_nodes=2, max_nodes=2, actions=())
         res_a, records_a = self.records_of(autopilot_cluster(
             max_nodes=2, plane=plane, switcher=make_switcher()
         ))
-        stacked_controller = AutoscaleController(
-            min_nodes=2, max_nodes=2, **NEVER
-        )
-        plan = greedy_shard([40_000, 30_000, 20_000, 10_000], 16, 2)
-        res_b, records_b = self.records_of(ClusterSimulator(
-            StaticScheduler([accurate_path()]), plan,
-            max_batch_size=8, batch_timeout_s=0.004,
-            switch_controller=make_switcher(**SW_NEVER),
-            autoscale=stacked_controller,
+        res_b, records_b = self.records_of(autopilot_cluster(
+            max_nodes=2, switcher=make_switcher(**SW_NEVER)
         ))
         assert records_a == records_b
         assert res_a.control_decisions == []

@@ -1,6 +1,8 @@
 """Runtime representation switching: controller hysteresis, timeline
 blocking, scheduler hooks, and engine/cluster integration."""
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.sharding import greedy_shard
@@ -301,6 +303,24 @@ class TestDeterminism:
         assert ctrl.events == []
         assert core.switcher.events == []
         assert core.switcher is not ctrl
+
+    def test_clone_of_used_controller_keeps_config_drops_state(self):
+        resident, ctrl = controller(patience=1, cooldown_s=5.0)
+        core = make_core(resident, ctrl)
+        ctrl.observe(core, resident, wait_s=1.0, batch_size=1,
+                     scenario=scenario_of([1]), now=0.0, loop=EventLoop())
+        assert ctrl.events and ctrl.switching(GPU_V100.name, 0.0)
+        clone = ctrl.clone()
+        for f in dataclasses.fields(SwitchController):
+            if f.init:
+                assert getattr(clone, f.name) == getattr(ctrl, f.name)
+        assert clone.events == [] and clone.total_overhead_s == 0.0
+        assert clone._initial is None and clone._resident == {}
+        assert not clone.switching(GPU_V100.name, 0.0)
+        # The candidate lists are the clone's own.
+        assert clone.candidates[GPU_V100.name] is not (
+            ctrl.candidates[GPU_V100.name]
+        )
 
 
 class TestClusterIntegration:
