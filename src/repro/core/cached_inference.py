@@ -26,11 +26,17 @@ class CachedDHE:
         decoder_cache: DecoderCentroidCache | None = None,
         feature: int = 0,
     ) -> None:
+        if encoder_cache is not None and encoder_cache.policy != "static":
+            # Hits are served from vectors precomputed at warm(): an LRU
+            # tier would hit on IDs that were never precomputed.
+            raise ValueError("CachedDHE needs a static encoder cache")
         self.dhe = dhe
         self.encoder_cache = encoder_cache
         self.decoder_cache = decoder_cache
         self.feature = feature
-        self._hot_vectors: dict[int, np.ndarray] = {}
+        # Sorted hot IDs and their exact vectors, row for row.
+        self._hot_ids = np.empty(0, dtype=np.int64)
+        self._hot_vectors = np.empty((0, dhe.dim))
 
     def warm(
         self,
@@ -47,9 +53,9 @@ class CachedDHE:
             hot_ids = sampler.hottest(self.encoder_cache.capacity_entries)
             if hot_ids.size:
                 vectors = self.dhe(hot_ids)
-                self._hot_vectors = {
-                    int(i): vectors[j] for j, i in enumerate(hot_ids)
-                }
+                order = np.argsort(hot_ids)
+                self._hot_ids = hot_ids[order]
+                self._hot_vectors = vectors[order]
         if self.decoder_cache is not None:
             profile_ids = sampler.sample(profile_samples)
             intermediates = self.dhe.encode(profile_ids)
@@ -59,12 +65,14 @@ class CachedDHE:
         """Embedding vectors for ``ids`` through the cached fast paths."""
         ids = np.asarray(ids)
         out = np.empty((ids.size, self.dhe.dim))
-        if self.encoder_cache is not None and self._hot_vectors:
+        if self.encoder_cache is not None and self._hot_ids.size:
             hit_mask = self.encoder_cache.lookup(0, ids)
         else:
             hit_mask = np.zeros(ids.size, dtype=bool)
-        for idx in np.flatnonzero(hit_mask):
-            out[idx] = self._hot_vectors[int(ids[idx])]
+        hit_idx = np.flatnonzero(hit_mask)
+        if hit_idx.size:
+            rows = np.searchsorted(self._hot_ids, ids[hit_idx])
+            out[hit_idx] = self._hot_vectors[rows]
         miss_idx = np.flatnonzero(~hit_mask)
         if miss_idx.size:
             miss_ids = ids[miss_idx]

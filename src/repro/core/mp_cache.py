@@ -279,9 +279,10 @@ class DecoderCentroidCache:
         """Approximate decoder output: nearest centroid's precomputed vector."""
         if not self.is_fitted:
             raise RuntimeError("fit() the decoder cache before generating")
+        # A query's norm scales all of its cosine scores alike, so only
+        # the centroids need normalizing to find the nearest one.
         idx = nearest_centroid(
-            normalize_rows(intermediates), self._centroids_normed,
-            assume_normalized=True,
+            intermediates, self._centroids_normed, assume_normalized=True,
         )
         return self._decoded[idx]
 

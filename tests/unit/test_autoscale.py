@@ -1,7 +1,7 @@
 """Unit tests for elastic autoscaling — the control plane's scale action:
-its decision rule and hysteresis, the shard-slice warm pricing, and the
-cluster's scale mechanics (membership, handoff, zero-loss drain,
-node-seconds accounting)."""
+its configuration checks, its decision rule and hysteresis, the
+shard-slice warm pricing, and the cluster's scale mechanics (membership,
+handoff, zero-loss drain, node-seconds accounting)."""
 
 import dataclasses
 
@@ -47,6 +47,40 @@ def elastic_cluster(max_nodes=4, schedule=(), replication=1):
         scheduler(), plan, replication=replication,
         max_batch_size=4, batch_timeout_s=0.001, controlplane=plane,
     )
+
+
+def scaler(min_nodes, max_nodes, **kwargs):
+    """The autoscaler: a plane with only its scale action enabled."""
+    return ControlPlane(
+        min_nodes=min_nodes, max_nodes=max_nodes, actions=("scale",), **kwargs
+    )
+
+
+class TestControllerValidation:
+    def test_bounds(self):
+        with pytest.raises(ValueError, match="min_nodes <= max_nodes"):
+            scaler(3, 2)
+        with pytest.raises(ValueError, match="min_nodes <= max_nodes"):
+            scaler(0, 2)
+        with pytest.raises(ValueError, match="initial_nodes"):
+            scaler(1, 4, initial_nodes=5)
+
+    def test_thresholds_and_patience(self):
+        with pytest.raises(ValueError, match="lo_pressure < hi_pressure"):
+            scaler(1, 2, hi_pressure=0.2, lo_pressure=0.5)
+        with pytest.raises(ValueError, match="patience"):
+            scaler(1, 2, patience=0)
+        with pytest.raises(ValueError, match="cooldown_s"):
+            scaler(1, 2, cooldown_s=-1.0)
+
+    def test_schedule_validation(self):
+        with pytest.raises(ValueError, match="up/down"):
+            scaler(1, 2, schedule=((0.1, "sideways"),))
+        with pytest.raises(ValueError, match="non-negative"):
+            scaler(1, 2, schedule=((-0.1, "up"),))
+
+    def test_initial_defaults_to_min(self):
+        assert scaler(2, 5).initial_nodes == 2
 
 
 class FakeCore:

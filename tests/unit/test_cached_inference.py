@@ -56,6 +56,12 @@ class TestCachedDHE:
         assert out.shape == (300, 8)
         assert cached.encoder_cache.observed_hit_rate > 0.1
 
+    def test_rejects_lru_encoder_cache(self, dhe):
+        # Hits are served from vectors precomputed at warm(); an LRU tier
+        # would hit on IDs that were never precomputed.
+        with pytest.raises(ValueError, match="static"):
+            CachedDHE(dhe, encoder_cache=EncoderCache(64 * 1024, 8, policy="lru"))
+
     def test_output_shape_for_empty_misses(self, dhe, sampler):
         """All-hit batches must not call the decoder path."""
         cached = CachedDHE(dhe, encoder_cache=EncoderCache(64 * 1024, 8))
