@@ -12,7 +12,8 @@
 # `make lint` byte-compiles every tree and
 # checks the suite still collects (no external linters are assumed in the
 # container); `make docstrings-check` fails on undocumented public API in
-# the serving kernel and MP-Rec core; `make examples-smoke` +
+# the serving kernel, the MP-Rec core and the hardware cost models;
+# `make examples-smoke` +
 # `make docs-check` back the CI docs job (every example runs green, every
 # relative link resolves); `make results-check` fails when the tracked
 # benchmarks/results/ files differ from the checkout (they hold
@@ -20,14 +21,17 @@
 # unexplained behaviour change); `make check` runs scripts/check.sh, the
 # one list of every gate above; `make cli-golden` rewrites the pinned
 # `serve` output (tests/integration/golden/serve.txt) after an intended
-# change; `make profile` cProfiles the `serve` hot path.
+# change; `make roofline-golden` likewise rewrites the pinned roofline
+# (tests/unit/golden/roofline.txt: every operator component and the
+# average power, bit for bit); `make profile` cProfiles the `serve` hot
+# path.
 
 PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test bench-smoke perf-smoke bench bench-selftest bench-trace-smoke \
 	lint check examples-smoke docs-check docstrings-check results-check \
-	cli-golden profile profile-fast
+	cli-golden roofline-golden profile profile-fast
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -75,6 +79,9 @@ docs-check:
 
 cli-golden:
 	$(PYTHON) tests/integration/test_cli_golden.py
+
+roofline-golden:
+	$(PYTHON) tests/unit/test_roofline_golden.py
 
 results-check:
 	@changed="$$(git status --porcelain -- benchmarks/results/)"; \

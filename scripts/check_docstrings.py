@@ -1,14 +1,15 @@
 #!/usr/bin/env python
 """Fail on public functions/classes lacking docstrings.
 
-The serving kernel and the MP-Rec core are the repo's API surface; every
-public module, class, function, and method there must say what it is
-for.  "Public" means the name (and every package segment on the way to
-it) does not start with an underscore; dunder methods are exempt, as are
-trivial overrides consisting solely of ``pass``/``...``.
+The serving kernel, the MP-Rec core and the hardware cost models are the
+repo's API surface; every public module, class, function, and method
+there must say what it is for.  "Public" means the name (and every
+package segment on the way to it) does not start with an underscore;
+dunder methods are exempt, as are trivial overrides consisting solely of
+``pass``/``...``.
 
     python scripts/check_docstrings.py [dir-or-file ...]
-    # default: src/repro/serving src/repro/core
+    # default: src/repro/serving src/repro/core src/repro/hardware
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import pathlib
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-DEFAULT_TARGETS = ("src/repro/serving", "src/repro/core")
+DEFAULT_TARGETS = ("src/repro/serving", "src/repro/core", "src/repro/hardware")
 
 
 def is_public(name: str) -> bool:

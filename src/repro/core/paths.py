@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.representations import RepresentationConfig
 from repro.hardware.device import DeviceSpec
+
+if TYPE_CHECKING:
+    from repro.hardware.latency import PriceModel
 
 
 @dataclass
@@ -17,7 +21,8 @@ class PathProfile:
 
     ``latency(n)`` interpolates log-linearly between profiled sizes, matching
     how the paper profiles "selected representations against the expected
-    workload at different query sizes" (Section 4.1).
+    workload at different query sizes" (Section 4.1). Sizes and latencies
+    must be finite and positive (the interpolation runs on their logs).
     """
 
     sizes: np.ndarray
@@ -30,6 +35,9 @@ class PathProfile:
             raise ValueError("sizes and latencies must be equal-length 1D arrays")
         if self.sizes.size < 1:
             raise ValueError("profile needs at least one point")
+        for name, values in (("sizes", self.sizes), ("latencies", self.latencies)):
+            if not (np.all(np.isfinite(values)) and np.all(values > 0)):
+                raise ValueError(f"{name} must be finite and positive")
         if np.any(np.diff(self.sizes) <= 0):
             raise ValueError("sizes must be strictly increasing")
         # latency() sits on the scheduler's per-decision hot path; cache the
@@ -39,7 +47,15 @@ class PathProfile:
 
     def latency(self, query_size: float) -> float:
         """Service latency at ``query_size`` samples, log-log interpolated
-        through the profiled anchor points."""
+        through the profiled anchor points.
+
+        Outside the anchors the latency is clamped, not extrapolated
+        (``np.interp``): every size above the largest anchor (4096 samples
+        in the default profile) is charged that anchor's latency, and
+        every size below the smallest is charged the smallest's. A priced
+        path's energy multiplies the roofline power at the batch's true
+        size by this clamped time.
+        """
         if query_size <= 0:
             raise ValueError("query_size must be positive")
         return math.exp(
@@ -47,7 +63,8 @@ class PathProfile:
         )
 
     def latency_many(self, query_sizes) -> np.ndarray:
-        """Vectorized :meth:`latency`, bit-equal to the per-size scalar calls.
+        """Vectorized :meth:`latency`, bit-equal to the per-size scalar calls
+        (so it clamps outside the anchors exactly as :meth:`latency` does).
 
         The interpolation runs as one array pass; the final exponential
         stays ``math.exp`` per element because ``np.exp`` rounds the last
@@ -71,7 +88,14 @@ class PathProfile:
 
 @dataclass
 class ExecutionPath:
-    """One activatable representation-hardware mapping (Figure 8)."""
+    """One activatable representation-hardware mapping (Figure 8).
+
+    ``price`` is the path's roofline price model, attached by the
+    experiment builders. The serving engines charge a path that carries
+    one its utilization-aware energy (paper O3); a path without one is
+    charged half its device's TDP for the service time. Either way,
+    service *time* comes from ``profile``.
+    """
 
     rep: RepresentationConfig
     device: DeviceSpec
@@ -81,7 +105,7 @@ class ExecutionPath:
     decoder_speedup: float = 1.0
     label: str = ""
     memory_bytes: int = 0
-    extra: dict = field(default_factory=dict)
+    price: PriceModel | None = None
 
     def __post_init__(self) -> None:
         if not self.label:

@@ -7,7 +7,7 @@ import numpy as np
 from repro.core.paths import ExecutionPath, PathProfile
 from repro.core.representations import RepresentationConfig
 from repro.hardware.device import DeviceSpec
-from repro.hardware.latency import estimate_breakdown
+from repro.hardware.latency import PriceModel
 from repro.models.configs import ModelConfig
 
 DEFAULT_PROFILE_SIZES = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
@@ -21,15 +21,10 @@ def profile_path(
     encoder_hit_rate: float = 0.0,
     decoder_speedup: float = 1.0,
 ) -> PathProfile:
-    """Profile one (representation, device) pair across query sizes."""
-    latencies = [
-        estimate_breakdown(
-            rep, model, device, size,
-            encoder_hit_rate=encoder_hit_rate,
-            decoder_speedup=decoder_speedup,
-        ).total
-        for size in sizes
-    ]
+    """Profile one (representation, device) pair across query sizes, all
+    anchors priced from one :class:`~repro.hardware.latency.PriceModel`."""
+    price = PriceModel(rep, model, device, encoder_hit_rate, decoder_speedup)
+    latencies = [price.breakdown(size).total for size in sizes]
     return PathProfile(sizes=np.array(sizes), latencies=np.array(latencies))
 
 

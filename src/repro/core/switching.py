@@ -53,9 +53,8 @@ def _path_bytes(path: ExecutionPath) -> int:
     """Bytes that must move on/off the device to (un)install a path."""
     if path.memory_bytes:
         return path.memory_bytes
-    model = path.extra.get("model")
-    if model is not None:
-        return path.rep.total_bytes(model)
+    if path.price is not None:
+        return path.rep.total_bytes(path.price.model)
     return 0
 
 

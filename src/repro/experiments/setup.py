@@ -30,6 +30,7 @@ from repro.core.representations import RepresentationConfig, paper_configs
 from repro.core.switching import SwitchController
 from repro.hardware.catalog import CPU_BROADWELL, GPU_V100
 from repro.hardware.device import GB, MB, DeviceSpec
+from repro.hardware.latency import PriceModel
 from repro.hardware.topology import ETHERNET_100G, LinkSpec
 from repro.models.configs import KAGGLE, TERABYTE, ModelConfig
 from repro.quality.estimator import QualityEstimator
@@ -125,6 +126,29 @@ def _cache_effects(
     }
 
 
+def _priced_path(
+    rep: RepresentationConfig,
+    model: ModelConfig,
+    device: DeviceSpec,
+    accuracy: float,
+    label: str,
+    effect: CacheEffect = _NO_CACHE,
+) -> ExecutionPath:
+    """:func:`~repro.core.profiler.make_path` with the roofline price model
+    attached, so the serving engines charge the path's energy by
+    utilization instead of at half TDP."""
+    path = make_path(
+        rep, model, device, accuracy,
+        encoder_hit_rate=effect.encoder_hit_rate,
+        decoder_speedup=effect.decoder_speedup,
+        label=label,
+    )
+    path.price = PriceModel(
+        rep, model, device, effect.encoder_hit_rate, effect.decoder_speedup
+    )
+    return path
+
+
 def build_plan(
     model: ModelConfig,
     devices: list[DeviceSpec] | None = None,
@@ -151,14 +175,12 @@ def _mp_paths(
         device = plan.devices[device_name]
         for rep in reps:
             effect = effects.get(rep, _NO_CACHE)
-            path = make_path(
+            path = _priced_path(
                 rep, model, device,
                 plan.accuracies[rep.display] - effect.accuracy_penalty,
-                encoder_hit_rate=effect.encoder_hit_rate,
-                decoder_speedup=effect.decoder_speedup,
-                label=f"{rep.kind.upper()}({device.kind.upper()})",
+                f"{rep.kind.upper()}({device.kind.upper()})",
+                effect,
             )
-            path.extra["model"] = model
             paths.setdefault(device_name, []).append(path)
     return paths
 
@@ -182,11 +204,10 @@ def build_schedulers(
         for device in (cpu, gpu):
             if rep.total_bytes(model) > device.total_memory:
                 continue
-            path = make_path(
+            path = _priced_path(
                 rep, model, device, estimator.accuracy(rep),
-                label=f"{rep_name.upper()}({device.kind.upper()})",
+                f"{rep_name.upper()}({device.kind.upper()})",
             )
-            path.extra["model"] = model
             schedulers[f"{rep_name}-{device.kind}"] = StaticScheduler([path])
             if rep_name == "table":
                 table_paths.append(path)

@@ -21,7 +21,12 @@ from repro.hardware.catalog import (
     DEVICE_CATALOG,
     device_by_name,
 )
-from repro.hardware.latency import OperatorBreakdown, estimate_breakdown, path_latency
+from repro.hardware.latency import (
+    OperatorBreakdown,
+    PriceModel,
+    estimate_breakdown,
+    path_latency,
+)
 from repro.hardware.energy import energy_per_query, average_power
 from repro.hardware.topology import scale_out, ShardedPlacement, plan_ipu_placement
 from repro.hardware.roofline import (
@@ -44,6 +49,7 @@ __all__ = [
     "DEVICE_CATALOG",
     "device_by_name",
     "OperatorBreakdown",
+    "PriceModel",
     "estimate_breakdown",
     "path_latency",
     "energy_per_query",

@@ -202,6 +202,8 @@ DEVICE_CATALOG: dict[str, DeviceSpec] = {
 
 
 def device_by_name(name: str) -> DeviceSpec:
+    """The catalog spec called ``name``; a ``KeyError`` lists the known
+    names."""
     try:
         return DEVICE_CATALOG[name]
     except KeyError:

@@ -88,6 +88,7 @@ class DeviceSpec:
 
     @property
     def is_accelerator(self) -> bool:
+        """True for every platform but the host CPU."""
         return self.kind != "cpu"
 
     @property
@@ -97,12 +98,15 @@ class DeviceSpec:
 
     @property
     def sram_per_chip(self) -> int:
+        """One chip's share of the aggregate SRAM, in bytes."""
         return self.sram_capacity // max(1, self.n_chips)
 
     def fits_in_sram(self, model_bytes: int) -> bool:
+        """Whether ``model_bytes`` fit in on-chip SRAM alone."""
         return model_bytes <= self.sram_capacity
 
     def fits(self, model_bytes: int) -> bool:
+        """Whether ``model_bytes`` fit in DRAM and SRAM together."""
         return model_bytes <= self.total_memory
 
     def with_memory_budget(self, dram_capacity: int) -> "DeviceSpec":

@@ -8,8 +8,12 @@ power while waiting on a 20 GB/s link.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.hardware.device import DeviceSpec
-from repro.hardware.latency import OperatorBreakdown
+
+if TYPE_CHECKING:
+    from repro.hardware.latency import OperatorBreakdown
 
 
 def average_power(device: DeviceSpec, breakdown: OperatorBreakdown) -> float:
@@ -34,6 +38,7 @@ def energy_per_query(device: DeviceSpec, breakdown: OperatorBreakdown) -> float:
 def energy_per_sample(
     device: DeviceSpec, breakdown: OperatorBreakdown, batch_size: int
 ) -> float:
+    """Joules per sample of one query of ``batch_size`` samples."""
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
     return energy_per_query(device, breakdown) / batch_size

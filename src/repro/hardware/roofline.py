@@ -20,6 +20,8 @@ FP32 = 4
 
 @dataclass(frozen=True)
 class RooflinePoint:
+    """Where one (representation, device) pair sits on the device's roof."""
+
     representation: str
     device: str
     operational_intensity: float  # FLOPs per byte moved
@@ -65,6 +67,9 @@ def ridge_point(device: DeviceSpec) -> float:
 def classify(
     rep: RepresentationConfig, model: ModelConfig, device: DeviceSpec
 ) -> RooflinePoint:
+    """Place the pair's embedding stage on the device's roofline: its
+    intensity, the ridge point, which side it falls on, and the FLOP/s
+    it can attain there."""
     intensity = operational_intensity(rep, model)
     ridge = ridge_point(device)
     bound = "compute" if intensity >= ridge else "memory"

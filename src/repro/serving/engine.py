@@ -61,8 +61,9 @@ import heapq
 
 import numpy as np
 
-from repro.hardware.energy import average_power
-from repro.hardware.latency import estimate_breakdown
+# Not called here: the benchmark tracer (perfbench/spans.py) wraps this
+# name, so it must stay importable from this module.
+from repro.hardware.latency import estimate_breakdown  # noqa: F401
 from repro.serving.devices import DeviceTimeline
 from repro.serving.metrics import QueryRecord, ServingResult, StreamingMetrics
 from repro.serving.policies import NoShed, ShedPolicy
@@ -119,20 +120,13 @@ def apportion_energy(
 
 
 def query_energy(path, query_size: int, service_s: float) -> float:
-    """Energy of one device pass (utilization-aware when a model is attached)."""
-    model = path.extra.get("model")
-    if model is None:
+    """Energy of one device pass: the path's roofline average power at
+    ``query_size`` samples when it carries a price model, half the
+    device's TDP otherwise, over ``service_s`` seconds."""
+    if path.price is None:
         # Utilization-agnostic fallback.
         return path.device.tdp_w * 0.5 * service_s
-    breakdown = estimate_breakdown(
-        path.rep,
-        model,
-        path.device,
-        query_size,
-        encoder_hit_rate=path.encoder_hit_rate,
-        decoder_speedup=path.decoder_speedup,
-    )
-    return average_power(path.device, breakdown) * service_s
+    return path.price.power(query_size) * service_s
 
 
 def drop_query(sink, query, sla_s: float) -> None:

@@ -1,11 +1,15 @@
 """Event-driven engine: batching semantics, reference equivalence,
 streaming parity, and multi-tenant SLA handling."""
 
+import numpy as np
 import pytest
 
 from repro.core.online import MultiPathScheduler, StaticScheduler
 from repro.data.queries import Query, QuerySet
+from repro.experiments.setup import build_schedulers
 from repro.hardware.catalog import CPU_BROADWELL, GPU_V100
+from repro.models.configs import KAGGLE
+from repro.serving.fastpath import plan_batches
 from repro.serving.policies import DeadlineAware
 from repro.serving.simulator import ReferenceSimulator, ServingSimulator
 from repro.serving.workload import ServingScenario, TenantSpec
@@ -65,6 +69,74 @@ class TestReferenceEquivalence:
         ])
         ref = ReferenceSimulator(scheduler, track_energy=False).run(scenario)
         new = ServingSimulator(scheduler, track_energy=False).run(scenario)
+        assert new.records == ref.records
+
+
+class TestRooflineEnergyParity:
+    """Paths from the experiment builders carry a roofline price model, so
+    their energy is priced by utilization; every engine must charge it
+    identically."""
+
+    BATCH, TIMEOUT_S = 16, 0.002
+
+    @pytest.fixture(scope="class")
+    def scheduler(self):
+        scheduler = build_schedulers(KAGGLE)["mp-rec"]
+        assert all(path.price is not None for path in scheduler.paths)
+        return scheduler
+
+    @pytest.fixture(scope="class")
+    def scenario(self):
+        return ServingScenario.paper_default(n_queries=2000, qps=3000, seed=5)
+
+    def batched(self, scheduler, engine):
+        return ServingSimulator(
+            scheduler, shed_policy="deadline-aware", engine=engine,
+            max_batch_size=self.BATCH, batch_timeout_s=self.TIMEOUT_S,
+        )
+
+    def test_fast_path_matches_kernel(self, scheduler, scenario):
+        kernel = self.batched(scheduler, "event").run(scenario)
+        fast = self.batched(scheduler, "fast").run(scenario)
+        assert kernel.total_energy_j > 0
+        assert fast.records == kernel.records
+
+    def test_partially_shed_batch_is_repriced(self, scheduler, scenario):
+        """A batch that loses members to shedding is charged the power and
+        service time of its surviving samples."""
+        records = self.batched(scheduler, "event").run(scenario).records
+        by_index = {r.index: r for r in records}
+        paths = {path.label: path for path in scheduler.paths}
+        queries = scenario.queries.queries
+        starts, ends, _ = plan_batches(
+            np.array([q.arrival_s for q in queries]), self.BATCH,
+            self.TIMEOUT_S,
+        )
+        partial = 0
+        for start, end in zip(starts.tolist(), ends.tolist()):
+            members = [by_index[q.index] for q in queries[start:end]]
+            served = [r for r in members if not r.dropped]
+            if not served or len(served) == len(members):
+                continue
+            partial += 1
+            path = paths[served[0].path_label]
+            size = sum(r.size for r in served)
+            assert sum(r.energy_j for r in served) == pytest.approx(
+                path.price.power(size) * path.latency(size), rel=1e-12
+            )
+        assert partial > 0
+
+    @pytest.mark.parametrize("shed_policy", ["none", "drop-late"])
+    def test_unbatched_kernel_matches_reference(
+        self, scheduler, scenario, shed_policy
+    ):
+        ref = ReferenceSimulator(scheduler, shed_policy=shed_policy).run(
+            scenario
+        )
+        new = ServingSimulator(scheduler, shed_policy=shed_policy).run(
+            scenario
+        )
+        assert ref.total_energy_j > 0
         assert new.records == ref.records
 
 

@@ -78,6 +78,10 @@ class TestMonotonicity:
         with pytest.raises(ValueError):
             estimate_breakdown(DHE, KAGGLE, CPU_BROADWELL, 8, decoder_speedup=0.5)
 
+    def test_rejects_nan_decoder_speedup(self):
+        with pytest.raises(ValueError, match="decoder_speedup"):
+            estimate_breakdown(DHE, KAGGLE, GPU_V100, 128, 0.5, float("nan"))
+
 
 class TestCacheEffects:
     def test_encoder_hits_reduce_latency(self):

@@ -41,6 +41,18 @@ class TestPathProfile:
         with pytest.raises(ValueError):
             profile.latency(0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_degenerate_latencies(self, bad):
+        with pytest.raises(ValueError, match="latencies"):
+            PathProfile(sizes=np.array([1, 2]), latencies=np.array([bad, 2.0]))
+
+    @pytest.mark.parametrize(
+        "sizes", [[np.nan, 2.0], [1.0, np.inf], [0.0, 2.0], [-1.0, 2.0]]
+    )
+    def test_rejects_degenerate_sizes(self, sizes):
+        with pytest.raises(ValueError, match="finite and positive"):
+            PathProfile(sizes=np.array(sizes), latencies=np.array([1.0, 2.0]))
+
 
 class TestProfilePath:
     def test_matches_direct_estimates(self):
@@ -76,6 +88,11 @@ class TestMakePath:
         assert path.accuracy == 78.98
         assert path.memory_bytes == rep.total_bytes(KAGGLE)
         assert "HYBRID" in path.label
+
+    def test_rejects_nan_decoder_speedup(self):
+        rep = paper_configs(KAGGLE)["dhe"]
+        with pytest.raises(ValueError, match="decoder_speedup"):
+            make_path(rep, KAGGLE, GPU_V100, 78.9, decoder_speedup=float("nan"))
 
     def test_custom_label(self):
         rep = paper_configs(KAGGLE)["table"]

@@ -253,6 +253,26 @@ class TestQueryArrays:
             [q.tenant for q in qs]
         )
 
+    def test_generated_columns_share_one_buffer(self):
+        """A generated stream's columns are aligned views of one buffer
+        (so freeing the stream frees one allocation), each with the
+        dtype and contents of the column it stands for."""
+        arrays = generate_query_arrays(n_queries=300, seed=4, tenant="acme")
+        columns = {
+            "index": np.int64, "size": np.int64, "arrival_s": np.float64,
+            "tenant_codes": np.int32, "user": np.int64,
+        }
+        block = arrays.index.base
+        assert block is not None
+        for name, dtype in columns.items():
+            column = getattr(arrays, name)
+            assert column.dtype == dtype
+            assert column.base is block
+            assert column.flags.c_contiguous and column.flags.aligned
+        assert arrays.index.tolist() == list(range(300))
+        assert arrays.tenant_codes.tolist() == [1] * 300
+        assert arrays.user.tolist() == [-1] * 300
+
     def test_as_arrays_round_trip(self):
         queries = [
             Query(index=i, size=i + 1, arrival_s=0.001 * i,

@@ -111,11 +111,12 @@ class TestSimulator:
     def test_energy_tracked_with_model(self):
         from repro.core.profiler import make_path
         from repro.core.representations import paper_configs
+        from repro.hardware.latency import PriceModel
         from repro.models.configs import KAGGLE
 
         rep = paper_configs(KAGGLE)["table"]
         path = make_path(rep, KAGGLE, CPU_BROADWELL, 78.79)
-        path.extra["model"] = KAGGLE
+        path.price = PriceModel(rep, KAGGLE, CPU_BROADWELL)
         sim = ServingSimulator(StaticScheduler([path]))
         res = sim.run(scenario_of([100] * 3))
         assert res.total_energy_j > 0
