@@ -381,7 +381,7 @@ class ClusterSimulator:
             )
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if batch_timeout_s < 0:
+        if not batch_timeout_s >= 0:  # also rejects nan
             raise ValueError("batch_timeout_s must be non-negative")
         if max_queue < 0:
             raise ValueError("max_queue must be non-negative")

@@ -257,7 +257,7 @@ class Batcher:
     def __init__(self, max_batch_size: int, timeout_s: float) -> None:
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if timeout_s < 0:
+        if not timeout_s >= 0:  # also rejects nan
             raise ValueError("batch_timeout_s must be non-negative")
         self.max_batch_size = max_batch_size
         self.timeout_s = timeout_s

@@ -11,22 +11,37 @@ accounting over the column query stream
 
 **Batch formation is precomputable.** On one node, a batch's membership
 and dispatch time depend only on the sorted arrival times, the batch
-capacity ``B``, and the flush timeout — never on dispatch outcomes: a
-batch starting at query ``s`` ends at
-``min(s + B, #arrivals <= arrival[s] + timeout)`` and dispatches at its
-filling arrival (full) or at ``arrival[s] + timeout`` (flush). FINISH
-events only decrement counters, so no heap survives
-(:func:`plan_batches`).
+capacity ``B``, and the flush timeout — never on dispatch outcomes. A
+batch starting at query ``s`` is full iff ``arrival[s + B - 1]`` is at
+or below its deadline ``arrival[s] + timeout``, and then dispatches at
+that filling arrival; otherwise it ends at the last arrival at or before
+the deadline and dispatches at the deadline (flush). FINISH events only
+decrement counters, so no heap survives. Planning reads only each
+batch's own slice: one comparison tells a full batch, and a flushed one
+searches its at most ``B`` arrivals (:func:`plan_batches`).
 
 **Batch pricing is vectorizable.** Service times for every batch total
 come from one :meth:`~repro.core.paths.PathProfile.latency_many` pass per
 candidate path — bit-equal to the kernel's per-batch scalar calls — and
 routing replays each scheduler's decision rule against those tables
-(:func:`_make_router`). Shed policies evaluate as per-batch masks over
-the members' wait vector; outcomes land block-wise in preallocated
-columns and reach the sink through
+(:func:`_make_router`).
+
+**Admission is per batch.** Drop-late and deadline-aware admit a whole
+batch with one comparison: its first member's wait against the batch's
+strictest SLA. That is exact. The first member arrived earliest, so its
+rounded wait is the largest, and float subtraction, addition and
+multiplication by a positive slack all round monotonically, so no member
+can fail once the first passes against the strictest target. A batch
+that fails this check, and every other policy, evaluates the per-member
+mask over the members' wait vector.
+
+**Outcomes commit per batch.** The dispatch loop keeps only per-batch
+scalars (start, finish, path code, admitted size, energy) and the
+admission mask of the rare batch that sheds. Whole-stream array passes
+expand them into per-query columns after the loop (:func:`_expand`),
+which reach the sink through
 :meth:`~repro.serving.metrics.StreamingMetrics.observe_many` (streaming)
-or one block materialization pass (records).
+or one materialization pass (records).
 
 **Parity is the contract.** For every supported configuration the fast
 path reproduces the kernel's records bit for bit — same floats, same
@@ -46,6 +61,8 @@ same boundary at the CLI.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,12 +98,16 @@ def plan_batches(
 
     Single-node batch boundaries are a pure function of the sorted
     arrival vector: the kernel's flush timer for a batch starting at
-    ``s`` fires at ``arrivals[s] + timeout_s``, and same-instant arrivals
-    pop before that timer (the event loop seeds arrivals with the lowest
-    sequence numbers), so the batch extends to
-    ``min(s + max_batch_size, searchsorted(arrivals, deadline, "right"))``.
-    A full batch dispatches at its filling arrival's timestamp, a flushed
-    one at the deadline — exactly the event semantics, with no heap.
+    ``s`` fires at ``deadline = arrivals[s] + timeout_s``, and
+    same-instant arrivals pop before that timer (the event loop seeds
+    arrivals with the lowest sequence numbers). So the batch is full iff
+    ``arrivals[s + max_batch_size - 1] <= deadline`` and dispatches at
+    that filling arrival; otherwise it ends after its last member at or
+    before the deadline and dispatches at the deadline — exactly the
+    event semantics, with no heap. Every arrival before ``s`` lies at or
+    below the deadline, so this equals
+    ``min(s + max_batch_size, searchsorted(arrivals, deadline, "right"))``
+    while touching only the batch's own slice.
 
     Returns ``(starts, ends, dispatch_times)`` as parallel arrays.
     """
@@ -97,22 +118,22 @@ def plan_batches(
     if max_batch_size == 1:
         starts = np.arange(n, dtype=np.int64)
         return starts, starts + 1, arrivals.astype(np.float64, copy=True)
-    deadlines = arrivals + timeout_s
-    limits = np.searchsorted(arrivals, deadlines, side="right")
+    arrival = arrivals.item
     starts: list[int] = []
     ends: list[int] = []
     times: list[float] = []
     s = 0
     # The boundary chain is sequential (each start depends on the last
-    # end) but touches only ~n / batch_size elements, so per-batch array
-    # indexing beats materializing full python lists.
+    # end) but costs one comparison per batch; only a batch that flushes
+    # before filling searches its own slice.
     while s < n:
-        end_full = s + max_batch_size
-        end_time = int(limits[s])
-        if end_full <= end_time:
-            end, when = end_full, float(arrivals[end_full - 1])
+        deadline = arrival(s) + timeout_s
+        end = s + max_batch_size
+        if end <= n and arrival(end - 1) <= deadline:
+            when = arrival(end - 1)
         else:
-            end, when = end_time, float(deadlines[s])
+            end = s + int(arrivals[s:end].searchsorted(deadline, "right"))
+            when = deadline
         starts.append(s)
         ends.append(end)
         times.append(when)
@@ -242,25 +263,18 @@ def _make_router(scheduler: Scheduler, totals: np.ndarray, sla_s: float):
 # ---- outcome columns ------------------------------------------------------
 
 
-class _Columns:
-    """Preallocated outcome columns, filled block-wise in commit order."""
+class _Columns(NamedTuple):
+    """Per-query outcome columns, one row per query in commit order."""
 
-    __slots__ = (
-        "index", "size", "arrival", "start", "finish", "code", "energy",
-        "dropped", "sla", "cursor",
-    )
-
-    def __init__(self, n: int) -> None:
-        self.index = np.empty(n, dtype=np.int64)
-        self.size = np.empty(n, dtype=np.int64)
-        self.arrival = np.empty(n, dtype=np.float64)
-        self.start = np.empty(n, dtype=np.float64)
-        self.finish = np.empty(n, dtype=np.float64)
-        self.code = np.empty(n, dtype=np.int32)
-        self.energy = np.zeros(n, dtype=np.float64)
-        self.dropped = np.zeros(n, dtype=np.bool_)
-        self.sla = np.empty(n, dtype=np.float64)
-        self.cursor = 0
+    index: np.ndarray
+    size: np.ndarray
+    arrival: np.ndarray
+    start: np.ndarray
+    finish: np.ndarray
+    code: np.ndarray
+    energy: np.ndarray
+    dropped: np.ndarray
+    sla: np.ndarray
 
 
 class _Labels:
@@ -300,11 +314,7 @@ def _simulate_columns(
     sla_s: float,
 ) -> tuple[_Columns, _Labels]:
     """Run the batch plan through routing/shedding/pricing into columns."""
-    n = int(arrivals.size)
-    cols = _Columns(n)
     labels = _Labels()
-    if n == 0:
-        return cols, labels
     timeline = DeviceTimeline(scheduler.paths)
     free_at = timeline.free_at
     starts, ends, times = plan_batches(arrivals, max_batch_size, batch_timeout_s)
@@ -315,6 +325,12 @@ def _simulate_columns(
     drop_late = type(policy) is DropLate
     deadline = type(policy) is DeadlineAware
     slack = policy.slack if deadline else 1.0
+    if drop_late or deadline:
+        # Whole-batch admission (module docstring): the first member's
+        # wait against the batch's strictest, slack-scaled SLA.
+        firsts_l = arrivals[starts].tolist()
+        strictest = np.minimum.reduceat(slas, starts)
+        bounds_l = (slack * strictest if deadline else strictest).tolist()
     drop_code = -1
 
     starts_l = starts.tolist()
@@ -325,26 +341,36 @@ def _simulate_columns(
     # materializing the full list up front would cost ~4% of a 10M run.
     slas_l: list[float] | None = None
 
+    # Per-batch outcomes in dispatch order; _expand turns them into rows.
+    begun: list[float] = []
+    finished: list[float] = []
+    codes: list[int] = []
+    charged: list[int] = []
+    energies: list[float] = []
+    shed: list[tuple[int, np.ndarray]] = []
     for b in range(len(starts_l)):
-        s = starts_l[b]
-        e = ends_l[b]
         now = times_l[b]
         path, service_s = route(b, now, free_at)
         device = path.device.name
         server, free = timeline.earliest(device)
         projected_start = free if free > now else now
 
-        members = slice(s, e)
-        admitted_count = e - s
         admitted_size = totals_l[b]
         compute_s = service_s
-        if not no_shed:
-            wait = projected_start - arrivals[members]
-            batch_slas = slas[members]
+        if drop_late:
+            whole = projected_start - firsts_l[b] <= bounds_l[b]
+        elif deadline:
+            whole = projected_start - firsts_l[b] + service_s <= bounds_l[b]
+        else:
+            whole = no_shed
+        if not whole:
+            s = starts_l[b]
+            e = ends_l[b]
+            wait = projected_start - arrivals[s:e]
             if drop_late:
-                ok = wait <= batch_slas
+                ok = wait <= slas[s:e]
             elif deadline:
-                ok = wait + service_s <= slack * batch_slas
+                ok = wait + service_s <= slack * slas[s:e]
             else:
                 if slas_l is None:
                     slas_l = slas.tolist()
@@ -355,26 +381,22 @@ def _simulate_columns(
                     ),
                     dtype=np.bool_, count=e - s,
                 )
-            admitted_count = int(ok.sum())
+            admitted_count = int(np.count_nonzero(ok))
             if admitted_count < e - s:
                 if drop_code < 0:
                     drop_code = labels.code_of(-1, DROPPED_LABEL, 0.0)
-                shed = np.flatnonzero(~ok) + s
-                c = cols.cursor
-                k = shed.size
-                cols.index[c:c + k] = indices[shed]
-                cols.size[c:c + k] = sizes[shed]
-                cols.arrival[c:c + k] = arrivals[shed]
-                cols.start[c:c + k] = arrivals[shed]
-                cols.finish[c:c + k] = arrivals[shed]
-                cols.code[c:c + k] = drop_code
-                cols.dropped[c:c + k] = True
-                cols.sla[c:c + k] = slas[shed]
-                cols.cursor = c + k
+                shed.append((b, ok))
                 if admitted_count == 0:
+                    # Nothing dispatches; every row of the batch is a
+                    # shed row, so _expand overwrites these values (the
+                    # size of 1 keeps its energy division finite).
+                    begun.append(now)
+                    finished.append(now)
+                    codes.append(drop_code)
+                    charged.append(1)
+                    energies.append(0.0)
                     continue
-                members = np.flatnonzero(ok) + s
-                admitted_size = int(sizes[members].sum())
+                admitted_size = int(sizes[s:e][ok].sum())
                 compute_s = path.latency(admitted_size)
 
         finish = projected_start + compute_s
@@ -382,29 +404,88 @@ def _simulate_columns(
         scheduler.on_batch_dispatched(
             path, admitted_size, projected_start, finish
         )
-        batch_energy = 0.0
-        if track_energy:
-            batch_energy = query_energy(path, admitted_size, compute_s)
-        code = labels.code_of(id(path), path.label, path.accuracy)
-        c = cols.cursor
-        k = admitted_count
-        batch_sizes = sizes[members]
-        cols.index[c:c + k] = indices[members]
-        cols.size[c:c + k] = batch_sizes
-        cols.arrival[c:c + k] = arrivals[members]
-        cols.start[c:c + k] = projected_start
-        cols.finish[c:c + k] = finish
-        cols.code[c:c + k] = code
-        if batch_energy:
-            if k == 1:
-                cols.energy[c] = batch_energy
-            else:
-                cols.energy[c:c + k] = (
-                    batch_energy * batch_sizes / admitted_size
-                )
-        cols.sla[c:c + k] = slas[members]
-        cols.cursor = c + k
+        begun.append(projected_start)
+        finished.append(finish)
+        codes.append(labels.code_of(id(path), path.label, path.accuracy))
+        charged.append(admitted_size)
+        energies.append(
+            query_energy(path, admitted_size, compute_s)
+            if track_energy else 0.0
+        )
+    cols = _expand(
+        starts, ends, indices, sizes, arrivals, slas, begun, finished,
+        codes, charged, energies, shed, drop_code,
+    )
     return cols, labels
+
+
+def _expand(
+    starts: np.ndarray,
+    ends: np.ndarray,
+    indices: np.ndarray,
+    sizes: np.ndarray,
+    arrivals: np.ndarray,
+    slas: np.ndarray,
+    begun: list[float],
+    finished: list[float],
+    codes: list[int],
+    charged: list[int],
+    energies: list[float],
+    shed: list[tuple[int, np.ndarray]],
+    drop_code: int,
+) -> _Columns:
+    """Expand per-batch outcomes into per-query columns, in commit order.
+
+    Each batch keeps its ``[start, end)`` rows. A batch that shed
+    members commits the shed ones first, then its survivors, each group
+    in arrival order, as the kernel does; the query columns are gathered
+    only when some batch's shed members are not a prefix of it. A query's
+    energy is its size share of its batch's, and a lone survivor keeps
+    the exact batch energy (``apportion_energy``).
+    """
+    counts = ends - starts
+    admitted = counts.copy()
+    shed_rows = []
+    order = None
+    for b, ok in shed:
+        s = int(starts[b])
+        kept = int(np.count_nonzero(ok))
+        admitted[b] = kept
+        k = ok.size - kept
+        shed_rows.append(np.arange(s, s + k))
+        if ok[:k].any():
+            if order is None:
+                order = np.arange(arrivals.size)
+            order[s:s + ok.size] = s + np.argsort(ok, kind="stable")
+    if order is not None:
+        indices = indices[order]
+        sizes = sizes[order]
+        arrivals = arrivals[order]
+        slas = slas[order]
+
+    start = np.repeat(np.array(begun), counts)
+    finish = np.repeat(np.array(finished), counts)
+    code = np.repeat(np.array(codes, dtype=np.int32), counts)
+    batch_energy = np.array(energies)
+    if batch_energy.any():
+        energy = np.repeat(batch_energy, counts)
+        energy *= sizes
+        energy /= np.repeat(np.array(charged), counts)
+        lone = admitted == 1
+        energy[ends[lone] - 1] = batch_energy[lone]
+    else:
+        energy = np.zeros(arrivals.size)
+    dropped = np.zeros(arrivals.size, dtype=np.bool_)
+    if shed_rows:
+        rows = np.concatenate(shed_rows)
+        dropped[rows] = True
+        start[rows] = arrivals[rows]
+        finish[rows] = arrivals[rows]
+        code[rows] = drop_code
+        energy[rows] = 0.0
+    return _Columns(
+        indices, sizes, arrivals, start, finish, code, energy, dropped, slas
+    )
 
 
 # ---- sink delivery --------------------------------------------------------
@@ -419,10 +500,9 @@ def _flush_columns(cols: _Columns, labels: _Labels, sink) -> None:
     label group through ``observe_many``; any other sink receives the
     kernel's per-outcome ``observe`` calls in commit order.
     """
-    n = cols.cursor
     if isinstance(sink, StreamingSink):
         metrics = sink.result
-        codes = cols.code[:n]
+        codes = cols.code
         for code, name in enumerate(labels.names):
             group = np.flatnonzero(codes == code)
             if not group.size:
@@ -435,13 +515,7 @@ def _flush_columns(cols: _Columns, labels: _Labels, sink) -> None:
                 slas=cols.sla[group],
             )
         return
-    columns = zip(
-        cols.index[:n].tolist(), cols.size[:n].tolist(),
-        cols.arrival[:n].tolist(), cols.start[:n].tolist(),
-        cols.finish[:n].tolist(), cols.code[:n].tolist(),
-        cols.energy[:n].tolist(), cols.dropped[:n].tolist(),
-        cols.sla[:n].tolist(),
-    )
+    columns = zip(*(column.tolist() for column in cols))
     names = labels.names
     accuracies = labels.accuracies
     if isinstance(sink, RecordSink):
@@ -538,7 +612,7 @@ def serve_arrays(
     """
     if max_batch_size < 1:
         raise ValueError("max_batch_size must be >= 1")
-    if batch_timeout_s < 0:
+    if not batch_timeout_s >= 0:  # also rejects nan
         raise ValueError("batch_timeout_s must be non-negative")
     stream = _sorted_stream(arrays)
     slas = _sla_vector(stream, sla_s, sla_by_tenant)

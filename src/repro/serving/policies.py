@@ -81,7 +81,7 @@ class DeadlineAware(ShedPolicy):
     slack: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.slack <= 0:
+        if not self.slack > 0:  # also rejects nan
             raise ValueError("slack must be positive")
 
     def admit(self, wait_s: float, service_s: float, sla_s: float) -> bool:

@@ -87,7 +87,7 @@ class ServingSimulator:
     ) -> None:
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if batch_timeout_s < 0:
+        if not batch_timeout_s >= 0:  # also rejects nan
             raise ValueError("batch_timeout_s must be non-negative")
         if engine not in ("event", "fast"):
             raise ValueError("engine must be 'event' or 'fast'")

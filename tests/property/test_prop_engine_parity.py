@@ -23,7 +23,10 @@ every shed policy, batching on and off, single- and multi-tenant:
   :mod:`repro.serving.fastpath` replays the kernel's decision rules
   against precomputed batch plans — docs/serving.md), and the chunked
   :meth:`~repro.serving.metrics.StreamingMetrics.observe_many` folds the
-  same outcomes as per-record ``observe``.
+  same outcomes as per-record ``observe``;
+- the **batch plan**: :func:`~repro.serving.fastpath.plan_batches`
+  equals the whole-stream ``searchsorted`` formula it replaced, bit for
+  bit, on arrival grids where deadlines land exactly on later arrivals.
 """
 
 import numpy as np
@@ -43,6 +46,7 @@ from repro.data.queries import Query, QuerySet
 from repro.hardware.catalog import CPU_BROADWELL, GPU_V100
 from repro.serving.cluster import ClusterSimulator
 from repro.serving.controlplane import ControlPlane
+from repro.serving.fastpath import plan_batches
 from repro.serving.metrics import P2Quantile, ReservoirSampler
 from repro.serving.simulator import ReferenceSimulator, ServingSimulator
 from repro.serving.workload import ServingScenario, TenantSpec
@@ -369,6 +373,59 @@ def test_fastpath_streaming_counters_match_kernel(
         assert streamed.total_energy_j == pytest.approx(
             records.total_energy_j, rel=1e-12, abs=0.0
         )
+
+
+def whole_stream_plan(arrivals, max_batch_size, timeout_s):
+    """The batch plan as first written: one ``searchsorted`` over every
+    query's deadline, then the sequential boundary chain."""
+    n = int(arrivals.size)
+    deadlines = arrivals + timeout_s
+    limits = np.searchsorted(arrivals, deadlines, side="right")
+    starts, ends, times = [], [], []
+    s = 0
+    while s < n:
+        end_full = s + max_batch_size
+        end_time = int(limits[s])
+        if end_full <= end_time:
+            end, when = end_full, float(arrivals[end_full - 1])
+        else:
+            end, when = end_time, float(deadlines[s])
+        starts.append(s)
+        ends.append(end)
+        times.append(when)
+        s = end
+    return (
+        np.asarray(starts, dtype=np.int64),
+        np.asarray(ends, dtype=np.int64),
+        np.asarray(times, dtype=np.float64),
+    )
+
+
+@prop_settings(60)
+@given(
+    # Gaps in whole grid steps: zeros make runs of equal timestamps.
+    steps=st.lists(st.integers(min_value=0, max_value=3), min_size=1,
+                   max_size=300),
+    timeout_steps=st.integers(min_value=0, max_value=8),
+    grid=st.sampled_from([2.0 ** -10, 2.0 ** -3, 1.0]),
+    origin=st.sampled_from([0.0, 5.0, 1024.0]),
+    batch=st.sampled_from([1, 2, 3, 8, 128]),
+)
+def test_plan_batches_matches_whole_stream_searchsorted(
+    steps, timeout_steps, grid, origin, batch
+):
+    """On a dyadic grid every sum is exact, so ``arrivals[s] + timeout``
+    lands exactly on later arrivals and same-instant runs straddle batch
+    boundaries; zero timeouts, ``n`` not a multiple of ``B`` and
+    ``B > n`` are all in range. Starts, ends and dispatch times must
+    equal the whole-stream formula bit for bit."""
+    arrivals = origin + np.cumsum(np.asarray(steps, dtype=np.float64)) * grid
+    timeout_s = timeout_steps * grid
+    got = plan_batches(arrivals, batch, timeout_s)
+    expected = whole_stream_plan(arrivals, batch, timeout_s)
+    for g, e in zip(got, expected):
+        assert g.dtype == e.dtype
+        assert g.tobytes() == e.tobytes()
 
 
 @prop_settings(20)

@@ -267,8 +267,9 @@ class TestValidation:
         plan = greedy_shard(KAGGLE.cardinalities, 16, 2)
         with pytest.raises(ValueError):
             ClusterSimulator(mp_rec, plan, max_batch_size=0)
-        with pytest.raises(ValueError):
-            ClusterSimulator(mp_rec, plan, batch_timeout_s=-1.0)
+        for timeout_s in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                ClusterSimulator(mp_rec, plan, batch_timeout_s=timeout_s)
         with pytest.raises(ValueError):
             ClusterSimulator(mp_rec, plan, max_queue=-1)
 

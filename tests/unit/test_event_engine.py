@@ -34,10 +34,11 @@ class TestConstruction:
             ServingSimulator(StaticScheduler([flat_path()]), max_batch_size=0)
 
     def test_rejects_negative_timeout(self):
-        with pytest.raises(ValueError):
-            ServingSimulator(
-                StaticScheduler([flat_path()]), batch_timeout_s=-1.0
-            )
+        for timeout_s in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                ServingSimulator(
+                    StaticScheduler([flat_path()]), batch_timeout_s=timeout_s
+                )
 
     def test_rejects_unknown_policy(self):
         with pytest.raises(ValueError):
@@ -89,17 +90,60 @@ class TestRooflineEnergyParity:
     def scenario(self):
         return ServingScenario.paper_default(n_queries=2000, qps=3000, seed=5)
 
-    def batched(self, scheduler, engine):
+    @pytest.fixture(scope="class")
+    def tenant_scenario(self):
+        """Strict and lenient tenants interleaved: a batch sheds its strict
+        members and keeps its lenient ones."""
+        return ServingScenario.multi_tenant([
+            TenantSpec(name="strict", n_queries=1500, qps=10000.0,
+                       sla_s=0.006, seed=1),
+            TenantSpec(name="lenient", n_queries=1500, qps=10000.0,
+                       sla_s=0.030, seed=2),
+        ])
+
+    def batched(self, scheduler, engine, batch=BATCH, timeout_s=TIMEOUT_S):
         return ServingSimulator(
             scheduler, shed_policy="deadline-aware", engine=engine,
-            max_batch_size=self.BATCH, batch_timeout_s=self.TIMEOUT_S,
+            max_batch_size=batch, batch_timeout_s=timeout_s,
         )
 
-    def test_fast_path_matches_kernel(self, scheduler, scenario):
-        kernel = self.batched(scheduler, "event").run(scenario)
-        fast = self.batched(scheduler, "fast").run(scenario)
+    @pytest.mark.parametrize("tenants, batch, timeout_s", [
+        pytest.param(False, BATCH, TIMEOUT_S, id="paper"),
+        # The node-fastday benchmark's batch shape.
+        pytest.param(True, 128, 0.004, id="tenants"),
+    ])
+    def test_fast_path_matches_kernel(
+        self, scheduler, scenario, tenant_scenario, tenants, batch,
+        timeout_s,
+    ):
+        if tenants:
+            scenario = tenant_scenario
+        kernel = self.batched(scheduler, "event", batch, timeout_s).run(
+            scenario
+        )
+        fast = self.batched(scheduler, "fast", batch, timeout_s).run(
+            scenario
+        )
         assert kernel.total_energy_j > 0
         assert fast.records == kernel.records
+        if tenants:
+            # Some batch shed members that are not a prefix of it: the
+            # fast path reorders its rows (shed first, then survivors),
+            # and its strictest-SLA check failed.
+            by_index = {r.index: r for r in kernel.records}
+            queries = scenario.queries.queries
+            starts, ends, _ = plan_batches(
+                np.array([q.arrival_s for q in queries]), batch, timeout_s,
+            )
+            reordered = 0
+            for start, end in zip(starts.tolist(), ends.tolist()):
+                dropped = [
+                    by_index[q.index].dropped for q in queries[start:end]
+                ]
+                shed = sum(dropped)
+                if 0 < shed < len(dropped) and not all(dropped[:shed]):
+                    reordered += 1
+            assert reordered > 0
 
     def test_partially_shed_batch_is_repriced(self, scheduler, scenario):
         """A batch that loses members to shedding is charged the power and

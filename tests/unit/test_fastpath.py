@@ -156,10 +156,12 @@ class TestServeArrays:
         arrays = generate_query_arrays(n_queries=10)
         with pytest.raises(ValueError):
             serve_arrays(build_scheduler("static"), arrays, max_batch_size=0)
-        with pytest.raises(ValueError):
-            serve_arrays(
-                build_scheduler("static"), arrays, batch_timeout_s=-1.0
-            )
+        for timeout_s in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                serve_arrays(
+                    build_scheduler("static"), arrays,
+                    batch_timeout_s=timeout_s,
+                )
 
     def test_energy_apportioned_like_kernel(self):
         arrays = generate_query_arrays(n_queries=200, qps=5000.0, seed=4)

@@ -65,5 +65,6 @@ class TestDeadlineAware:
         assert loose.admit(wait_s=0.004, service_s=0.014, sla_s=0.010)
 
     def test_rejects_non_positive_slack(self):
-        with pytest.raises(ValueError):
-            DeadlineAware(slack=0.0)
+        for slack in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                DeadlineAware(slack=slack)
