@@ -58,6 +58,7 @@ Sinks are pluggable: :class:`RecordSink` materializes every
 from __future__ import annotations
 
 import heapq
+import math
 
 import numpy as np
 
@@ -223,13 +224,23 @@ class EventLoop:
         self._seq = 0
 
     def seed_arrivals(self, queries) -> None:
-        """Seed the loop with arrivals, sequence-stamped in arrival order."""
+        """Seed the loop with arrivals, sequence-stamped in arrival order.
+
+        Raises ``ValueError`` on a NaN or infinite ``arrival_s``: such a
+        query has no place in time order.
+        """
         arrivals = sorted(queries, key=lambda q: q.arrival_s)
-        self._heap = [
-            (q.arrival_s, i, ARRIVAL, q) for i, q in enumerate(arrivals)
-        ]
-        self._seq = len(self._heap)
-        heapq.heapify(self._heap)
+        heap = []
+        for i, q in enumerate(arrivals):
+            arrival = q.arrival_s
+            if not math.isfinite(arrival):
+                raise ValueError(
+                    f"arrival_s must be finite; query {q.index} has {arrival}"
+                )
+            heap.append((arrival, i, ARRIVAL, q))
+        heapq.heapify(heap)
+        self._heap = heap
+        self._seq = len(heap)
 
     def push(self, time: float, kind: int, payload) -> int:
         """Schedule an event; returns its sequence number (a stable id)."""

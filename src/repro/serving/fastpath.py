@@ -552,8 +552,19 @@ def _sla_vector(arrays: QueryArrays, sla_s: float, sla_by_tenant) -> np.ndarray:
 
 
 def _sorted_stream(arrays: QueryArrays) -> QueryArrays:
-    """The stream in arrival order (stable, matching the kernel's sort)."""
+    """The stream in arrival order (stable, matching the kernel's sort).
+
+    Raises ``ValueError`` on a NaN or infinite ``arrival_s``, as the
+    kernel's ``EventLoop.seed_arrivals`` does.
+    """
     arrivals = arrays.arrival_s
+    finite = np.isfinite(arrivals)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise ValueError(
+            f"arrival_s must be finite; query {int(arrays.index[first])} "
+            f"has {float(arrivals[first])}"
+        )
     if arrivals.size < 2 or bool((arrivals[1:] >= arrivals[:-1]).all()):
         return arrays
     order = np.argsort(arrivals, kind="stable")

@@ -13,6 +13,11 @@ are a tally of exact counters, and every metric is defined once over it.
     Constant-memory — the tally plus P² (Jain & Chlamtac 1985)
     percentile estimators and a bounded latency reservoir, so
     million-query scenarios never materialize per-query records.
+    Served latencies reach the estimators in blocks: small folds wait
+    in one pending block of at most 4096 floats, folded in arrival
+    order when it fills, before a chunked fold and on every percentile
+    read, so every read sees every outcome observed so far, bit-equal
+    to folding each latency as it arrives.
 
 The tally's counters are integers (queries, shed and late queries,
 samples per accuracy value, queries per path) and the correct-prediction
@@ -39,6 +44,10 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# Samples per sorted chunk of the chunked P² fold, and the most served
+# latencies a StreamingMetrics holds before folding them.
+_FOLD_BLOCK = 4096
 
 
 @dataclass
@@ -419,53 +428,114 @@ class P2Quantile:
 
     def observe(self, x: float) -> None:
         """Fold one sample into the five-marker state."""
-        self.count += 1
-        if self._heights:
-            self._update(x)
-            return
-        self._initial.append(x)
-        if len(self._initial) == 5:
-            self._initial.sort()
-            self._heights = list(self._initial)
+        self._fold([x])
+
+    def _fold(self, xs: list[float]) -> None:
+        """Fold samples one at a time, in order: the per-sample P² update.
+
+        The first five samples seed the markers; every later one moves
+        the extreme markers, advances the positions above its cell, and
+        adjusts interior markers 1, 2 and 3 in that order, each seeing
+        the heights the previous one moved.  The marker state lives in
+        locals for the whole list and is written back once.  The cell
+        search is a comparison chain: once ``h0 <= x < h4``, the first
+        ``i`` with ``x < h[i + 1]`` is the cell, since ``x >= h[i]``
+        follows from the tests before it.  A NaN sample, which fails
+        every comparison, raises ``ValueError``.
+        """
+        self.count += len(xs)
+        if not self._heights:
+            initial = self._initial
+            take = 5 - len(initial)
+            initial.extend(xs[:take])
+            if len(initial) < 5:
+                return
+            initial.sort()
+            q = self.q
+            self._heights = list(initial)
             self._pos = [1.0, 2.0, 3.0, 4.0, 5.0]
             self._desired = [
-                1.0, 1.0 + 2.0 * self.q, 1.0 + 4.0 * self.q,
-                3.0 + 2.0 * self.q, 5.0,
+                1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0,
             ]
-
-    def _update(self, x: float) -> None:
-        h, pos = self._heights, self._pos
-        if x < h[0]:
-            h[0] = x
-            cell = 0
-        elif x >= h[4]:
-            h[4] = x
-            cell = 3
-        else:
-            cell = next(i for i in range(4) if h[i] <= x < h[i + 1])
-        for i in range(cell + 1, 5):
-            pos[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._inc[i]
-        self._adjust()
-
-    def _adjust(self) -> bool:
-        """One sweep of interior-marker adjustment; True if any marker moved."""
-        h, pos = self._heights, self._pos
-        moved = False
-        for i in (1, 2, 3):
-            d = self._desired[i] - pos[i]
-            if (d >= 1.0 and pos[i + 1] - pos[i] > 1.0) or (
-                d <= -1.0 and pos[i - 1] - pos[i] < -1.0
-            ):
-                step = 1.0 if d > 0 else -1.0
-                candidate = self._parabolic(i, step)
-                if not h[i - 1] < candidate < h[i + 1]:
-                    candidate = self._linear(i, step)
-                h[i] = candidate
-                pos[i] += step
-                moved = True
-        return moved
+            xs = xs[take:]
+            if not xs:
+                return
+        h0, h1, h2, h3, h4 = self._heights
+        n0, n1, n2, n3, n4 = self._pos
+        d1, d2, d3, d4 = self._desired[1:]
+        _, i1, i2, i3, i4 = self._inc
+        for x in xs:
+            if x < h0:
+                h0 = x
+                n1 += 1.0
+                n2 += 1.0
+                n3 += 1.0
+            elif x >= h4:
+                h4 = x
+            elif x < h1:
+                n1 += 1.0
+                n2 += 1.0
+                n3 += 1.0
+            elif x < h2:
+                n2 += 1.0
+                n3 += 1.0
+            elif x < h3:
+                n3 += 1.0
+            elif x != x:  # NaN fails every comparison above
+                raise ValueError("P² cannot fold a NaN sample")
+            n4 += 1.0
+            d1 += i1
+            d2 += i2
+            d3 += i3
+            d4 += i4
+            # Marker 1, between h0 and h2: parabolic step, else linear.
+            d = d1 - n1
+            if (d >= 1.0 and n2 - n1 > 1.0) or (d <= -1.0 and n0 - n1 < -1.0):
+                s = 1.0 if d > 0 else -1.0
+                c = h1 + s / (n2 - n0) * (
+                    (n1 - n0 + s) * (h2 - h1) / (n2 - n1)
+                    + (n2 - n1 - s) * (h1 - h0) / (n1 - n0)
+                )
+                if not h0 < c < h2:
+                    if s > 0:
+                        c = h1 + s * (h2 - h1) / (n2 - n1)
+                    else:
+                        c = h1 + s * (h0 - h1) / (n0 - n1)
+                h1 = c
+                n1 += s
+            # Marker 2, between h1 and h3.
+            d = d2 - n2
+            if (d >= 1.0 and n3 - n2 > 1.0) or (d <= -1.0 and n1 - n2 < -1.0):
+                s = 1.0 if d > 0 else -1.0
+                c = h2 + s / (n3 - n1) * (
+                    (n2 - n1 + s) * (h3 - h2) / (n3 - n2)
+                    + (n3 - n2 - s) * (h2 - h1) / (n2 - n1)
+                )
+                if not h1 < c < h3:
+                    if s > 0:
+                        c = h2 + s * (h3 - h2) / (n3 - n2)
+                    else:
+                        c = h2 + s * (h1 - h2) / (n1 - n2)
+                h2 = c
+                n2 += s
+            # Marker 3, between h2 and h4.
+            d = d3 - n3
+            if (d >= 1.0 and n4 - n3 > 1.0) or (d <= -1.0 and n2 - n3 < -1.0):
+                s = 1.0 if d > 0 else -1.0
+                c = h3 + s / (n4 - n2) * (
+                    (n3 - n2 + s) * (h4 - h3) / (n4 - n3)
+                    + (n4 - n3 - s) * (h3 - h2) / (n3 - n2)
+                )
+                if not h2 < c < h4:
+                    if s > 0:
+                        c = h3 + s * (h4 - h3) / (n4 - n3)
+                    else:
+                        c = h3 + s * (h2 - h3) / (n2 - n3)
+                h3 = c
+                n3 += s
+        self._heights = [h0, h1, h2, h3, h4]
+        self._pos = [n0, n1, n2, n3, n4]
+        self._desired[1:] = [d1, d2, d3, d4]
 
     _CHUNK_MIN = 256
 
@@ -490,7 +560,8 @@ class P2Quantile:
         stay coherent. Per-sample and chunked folding therefore agree to
         estimator accuracy, not bit-for-bit — counters stay exact either
         way. Intended for blocks of at least ``_CHUNK_MIN`` samples;
-        ``observe_many`` routes smaller chunks through ``observe``.
+        ``observe_many`` routes smaller chunks through the per-sample
+        ``_fold``.
         """
         m = int(xs.size)
         if m == 0:
@@ -528,32 +599,19 @@ class P2Quantile:
             self._desired[i] += self._inc[i] * m
 
     def observe_many(self, xs) -> None:
-        """Fold a chunk of samples (one sort per 4096-sample block).
+        """Fold a chunk of samples (one sort per ``_FOLD_BLOCK`` samples).
 
-        Chunks smaller than ``_CHUNK_MIN`` replay through per-sample
-        ``observe`` — a tiny block's empirical tail quantile is too noisy
-        to blend, and the per-sample loop is cheap at that size.
+        Chunks smaller than ``_CHUNK_MIN`` take the per-sample update,
+        bit-equal to an ``observe`` loop — a tiny block's empirical tail
+        quantile is too noisy to blend, and the per-sample loop is cheap
+        at that size.
         """
         xs = np.asarray(xs, dtype=np.float64)
         if xs.size < self._CHUNK_MIN:
-            for x in xs.tolist():
-                self.observe(x)
+            self._fold(xs.tolist())
             return
-        block = 4096
-        for start in range(0, xs.size, block):
-            self.observe_sorted(np.sort(xs[start:start + block]))
-
-    def _parabolic(self, i: int, d: float) -> float:
-        h, n = self._heights, self._pos
-        return h[i] + d / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + d) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - d) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, d: float) -> float:
-        h, n = self._heights, self._pos
-        j = i + int(d)
-        return h[i] + d * (h[j] - h[i]) / (n[j] - n[i])
+        for start in range(0, xs.size, _FOLD_BLOCK):
+            self.observe_sorted(np.sort(xs[start:start + _FOLD_BLOCK]))
 
     @property
     def value(self) -> float:
@@ -645,6 +703,15 @@ class StreamingMetrics(_Tally):
     percentiles (p50/p95/p99) come from P² estimators; arbitrary
     ``latency_percentile(q)`` queries fall back to a uniform reservoir
     over served latencies.  Memory is O(reservoir), not O(queries).
+
+    Counters are folded at once.  Served latencies that reach the
+    estimators one sample at a time (per-outcome ``observe`` and folds
+    under ``P2Quantile._CHUNK_MIN``) wait in one pending block of at most
+    ``_FOLD_BLOCK`` floats, which is drained into every estimator and the
+    reservoir when it fills, before a chunked fold, and on every
+    percentile read.  The estimators therefore see the same samples in
+    the same order as an eager fold, so every read is bit-equal to it;
+    only the private estimator state lags until a read.
     """
 
     PERCENTILES = (50.0, 95.0, 99.0)
@@ -661,6 +728,18 @@ class StreamingMetrics(_Tally):
         self.sla_s = sla_s
         self._estimators = {p: P2Quantile(p / 100.0) for p in self.PERCENTILES}
         self._reservoir = ReservoirSampler(reservoir_size, seed=seed)
+        self._pending: list[float] = []  # served latencies not yet folded
+
+    def _drain(self) -> None:
+        """Fold the pending latencies, in order, into every estimator and
+        the reservoir."""
+        pending = self._pending
+        if not pending:
+            return
+        for estimator in self._estimators.values():
+            estimator._fold(pending)
+        self._reservoir.observe_many(pending)
+        pending.clear()
 
     def observe(
         self,
@@ -684,9 +763,10 @@ class StreamingMetrics(_Tally):
         )
         if latency is None:
             return
-        for estimator in self._estimators.values():
-            estimator.observe(latency)
-        self._reservoir.observe(latency)
+        pending = self._pending
+        if len(pending) >= _FOLD_BLOCK:
+            self._drain()
+        pending.append(latency)
 
     def observe_many(
         self,
@@ -699,7 +779,6 @@ class StreamingMetrics(_Tally):
         energies=0.0,
         dropped: bool = False,
         slas=None,
-        block: int = 4096,
     ) -> None:
         """Fold a chunk of same-path outcomes in vectorized passes.
 
@@ -709,10 +788,14 @@ class StreamingMetrics(_Tally):
         scalars or per-query arrays; ``slas=None`` applies the run-level
         target. ``dropped`` marks the whole chunk as shed.
 
-        Every counter metric equals the per-outcome fold's exactly and
-        the reservoir consumes its uniforms bit-identically; energy agrees
-        to summation order and P² percentile estimates to estimator
-        accuracy — pinned in ``tests/property/test_prop_engine_parity.py``.
+        Every counter metric equals the per-outcome fold's exactly, the
+        reservoir consumes its uniforms bit-identically, and energy agrees
+        to summation order.  Chunks under ``P2Quantile._CHUNK_MIN`` join
+        the pending block, so their P² estimates are bit-equal to
+        per-outcome folds; larger chunks take P²'s chunked update one
+        sorted ``_FOLD_BLOCK`` at a time, which agrees to estimator
+        accuracy — pinned in ``tests/property/test_prop_engine_parity.py``
+        and ``tests/property/test_prop_metrics.py``.
         """
         sizes = np.asarray(sizes, dtype=np.int64)
         m = int(sizes.size)
@@ -727,15 +810,13 @@ class StreamingMetrics(_Tally):
         if latency is None:
             return
         if m < P2Quantile._CHUNK_MIN:
-            # Small folds replay the per-sample estimators (bit-equal to
-            # a plain observe() loop), mirroring P2Quantile.observe_many.
-            for x in latency.tolist():
-                for estimator in self._estimators.values():
-                    estimator.observe(x)
-            self._reservoir.observe_many(latency)
+            if len(self._pending) + m > _FOLD_BLOCK:
+                self._drain()
+            self._pending.extend(latency.tolist())
             return
-        for start in range(0, m, block):
-            chunk = latency[start:start + block]
+        self._drain()
+        for start in range(0, m, _FOLD_BLOCK):
+            chunk = latency[start:start + _FOLD_BLOCK]
             ordered = np.sort(chunk)
             for estimator in self._estimators.values():
                 estimator.observe_sorted(ordered)
@@ -752,7 +833,8 @@ class StreamingMetrics(_Tally):
 
     def latency_percentile(self, q: float) -> float:
         """Percentile over served latencies: P² for the named percentiles,
-        reservoir estimate otherwise."""
+        reservoir estimate otherwise (pending latencies are folded first)."""
+        self._drain()
         estimator = self._estimators.get(float(q))
         if estimator is not None:
             return estimator.value

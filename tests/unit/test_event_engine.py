@@ -1,15 +1,19 @@
 """Event-driven engine: batching semantics, reference equivalence,
 streaming parity, and multi-tenant SLA handling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.analysis.sharding import greedy_shard
 from repro.core.online import MultiPathScheduler, StaticScheduler
 from repro.data.queries import Query, QuerySet
 from repro.experiments.setup import build_schedulers
 from repro.hardware.catalog import CPU_BROADWELL, GPU_V100
 from repro.models.configs import KAGGLE
-from repro.serving.fastpath import plan_batches
+from repro.serving.cluster import ClusterSimulator
+from repro.serving.fastpath import plan_batches, serve_arrays
 from repro.serving.policies import DeadlineAware
 from repro.serving.simulator import ReferenceSimulator, ServingSimulator
 from repro.serving.workload import ServingScenario, TenantSpec
@@ -407,3 +411,43 @@ class TestMultiTenant:
     def test_empty_tenant_list_rejected(self):
         with pytest.raises(ValueError):
             ServingScenario.multi_tenant([])
+
+
+class TestNonFiniteArrivals:
+    """A NaN or infinite arrival has no place in time order: every entry
+    point rejects it by name instead of crashing inside P² or returning
+    a NaN tail."""
+
+    @pytest.fixture(scope="class")
+    def scheduler(self):
+        return build_schedulers(KAGGLE)["mp-rec"]
+
+    @pytest.mark.parametrize("arrival", [float("nan"), float("inf")],
+                             ids=["nan", "inf"])
+    @pytest.mark.parametrize("entry", [
+        "arrays-streaming", "arrays-records", "event-run",
+        "event-streaming", "fast-run", "fast-streaming", "cluster-run",
+    ])
+    def test_rejected_at_entry(self, scheduler, entry, arrival):
+        scenario = ServingScenario.paper_default(n_queries=2000, qps=3000,
+                                                 seed=5)
+        queries = list(scenario.queries)
+        queries[1000] = dataclasses.replace(queries[1000], arrival_s=arrival)
+        scenario = ServingScenario(queries=QuerySet(queries=queries),
+                                   sla_s=scenario.sla_s)
+        with pytest.raises(ValueError, match="arrival_s"):
+            if entry.startswith("arrays"):
+                serve_arrays(scheduler, scenario.queries.as_arrays(),
+                             max_batch_size=16, batch_timeout_s=0.002,
+                             streaming=entry == "arrays-streaming")
+            elif entry == "cluster-run":
+                plan = greedy_shard(KAGGLE.cardinalities, 16, 2)
+                ClusterSimulator(scheduler, plan).run(scenario)
+            else:
+                sim = ServingSimulator(scheduler, engine=entry.split("-")[0],
+                                       max_batch_size=16,
+                                       batch_timeout_s=0.002)
+                if entry.endswith("streaming"):
+                    sim.run_streaming(scenario)
+                else:
+                    sim.run(scenario)

@@ -52,6 +52,13 @@ class TestP2Quantile:
     def test_empty_value_zero(self):
         assert P2Quantile(0.5).value == 0.0
 
+    def test_rejects_nan_sample(self):
+        est = P2Quantile(0.99)
+        for x in (3.0, 1.0, 2.0, 5.0, 4.0, 6.0):
+            est.observe(x)
+        with pytest.raises(ValueError, match="NaN"):
+            est.observe(float("nan"))
+
 
 class TestReservoirSampler:
     def test_keeps_everything_below_capacity(self):
@@ -316,6 +323,9 @@ class TestObserveMany:
                         float(finishes[i]), "P", 80.0)
         many = StreamingMetrics("t", sla_s=0.010)
         many.observe_many(sizes, arrivals, None, finishes, "P", 80.0)
+        # Per-outcome latencies reach the reservoir when a read drains
+        # the pending block; read a percentile first.
+        one.latency_percentile(37.5)
         assert many._reservoir._sample == one._reservoir._sample
         assert many._reservoir.count == one._reservoir.count
 
