@@ -21,12 +21,15 @@ whole query on one replica (concurrency handled by the serving simulator),
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from typing import TYPE_CHECKING
 
-from repro.core.representations import RepresentationConfig
 from repro.hardware.device import DeviceSpec
 from repro.hardware.energy import average_power
 from repro.models.configs import ModelConfig
 from repro.models.interactions import DotInteraction
+
+if TYPE_CHECKING:  # annotations only: core imports this module
+    from repro.core.representations import RepresentationConfig
 
 FP32 = 4
 ID_BYTES = 8

@@ -10,10 +10,13 @@ and which side of the roof a (representation, device) pair lands on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.core.representations import RepresentationConfig
 from repro.hardware.device import DeviceSpec
 from repro.models.configs import ModelConfig
+
+if TYPE_CHECKING:  # annotations only: core imports this module
+    from repro.core.representations import RepresentationConfig
 
 FP32 = 4
 

@@ -122,11 +122,14 @@ class _LabelState:
 class NodeCache:
     """One node's hot-row cache: per-(path label, shard group) residency.
 
-    All mutation goes through :meth:`lookup` (demand fill), :meth:`warm`
-    (provisioning), :meth:`rewarm` (post-switch re-fetch), :meth:`receive`
-    (drain donation), and :meth:`rekey` (membership epoch change);
-    :meth:`preview` prices a lookup without touching state, which is how
-    the cluster keeps shed-policy re-pricing from double-counting.
+    All mutation goes through :meth:`commit_batch` (which
+    :meth:`lookup` and eviction run under), :meth:`warm` (provisioning),
+    :meth:`rewarm` (post-switch re-fetch), :meth:`donate` and
+    :meth:`receive` (drain hand-off), and :meth:`rekey` (membership epoch
+    change); :meth:`preview` prices a lookup without touching state,
+    which is how the cluster keeps shed-policy re-pricing from
+    double-counting.  Each mutator drops the per-group :meth:`affinity`
+    memo, so routers read it without rescanning the labels.
     """
 
     def __init__(self, config: CacheConfig, n_groups: int, hot_rows: int) -> None:
@@ -141,6 +144,7 @@ class NodeCache:
         self._labels: dict[str, _LabelState] = {}
         self._total = 0
         self._clock = 0
+        self._affinity: dict[int, float] = {}
         self.stats = CacheStats()
 
     # ---- read side -------------------------------------------------------
@@ -159,13 +163,18 @@ class NodeCache:
 
     def affinity(self, group: int) -> float:
         """The best hit rate any resident path offers for ``group`` —
-        what a cache-aware router scores candidate nodes by."""
-        if not self._labels:
-            return 0.0
-        return max(
-            float(self._cdf[min(state.resident[group], self.hot_rows)])
-            for state in self._labels.values()
-        )
+        what a cache-aware router scores candidate nodes by (memoised
+        until the next mutation)."""
+        value = self._affinity.get(group)
+        if value is None:
+            value = self._affinity[group] = max(
+                (
+                    float(self._cdf[min(state.resident[group], self.hot_rows)])
+                    for state in self._labels.values()
+                ),
+                default=0.0,
+            )
+        return value
 
     def preview(self, label: str, group: int, n_rows: int) -> tuple[int, int]:
         """The ``(hits, misses)`` split :meth:`lookup` would commit for
@@ -225,6 +234,7 @@ class NodeCache:
         recency, and evict down to capacity (eviction only shapes
         *future* batches — this one was priced and is recorded as
         previewed)."""
+        self._affinity.clear()
         row_bytes = self.config.row_bytes
         for (label, group, n_rows), (hits, misses) in zip(items, splits):
             if n_rows <= 0:
@@ -283,6 +293,7 @@ class NodeCache:
         """Provision top-row residency for ``groups`` (an even capacity
         share each, fit-static style): the join warm and the static
         policy's preload.  Returns the bytes transferred."""
+        self._affinity.clear()
         groups = list(range(self.n_groups)) if groups is None else groups
         if not groups:
             return 0
@@ -338,6 +349,7 @@ class NodeCache:
         hot rows must be re-fetched for ``new_label``.  Returns the bytes
         that re-fetch moves — the caller prices them as a Fig-15-style
         blocking window on the device timeline."""
+        self._affinity.clear()
         state = self._labels.pop(old_label, None)
         if state is None:
             return 0
@@ -369,6 +381,7 @@ class NodeCache:
     def donate(self) -> int:
         """A draining node hands off: return the resident row count and
         empty the cache (the node is leaving the fleet)."""
+        self._affinity.clear()
         donated = self._total
         for state in self._labels.values():
             state.resident = [0] * self.n_groups
@@ -381,6 +394,7 @@ class NodeCache:
         even spread), capped by free capacity — donation must never evict
         rows this node earned from its own traffic.  Returns the bytes
         actually absorbed."""
+        self._affinity.clear()
         if entries <= 0 or not groups:
             return 0
         state = self._labels.get(label)
@@ -409,6 +423,7 @@ class NodeCache:
         group space this cache is keyed by no longer exists, so all
         entries are dropped and the group arrays resize.  Returns the
         number of invalidated entries."""
+        self._affinity.clear()
         if n_groups < 1:
             raise ValueError("n_groups must be positive")
         if hot_rows < 1:

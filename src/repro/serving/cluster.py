@@ -981,28 +981,32 @@ class ClusterSimulator:
 
         ``commit=False`` previews the carry-exact hit/miss splits for
         pricing (sequentially, each lookup seeing the residency growth
-        of the ones before it) and stashes them per core;
-        ``commit=True`` — called by the engine exactly once per
-        dispatched batch — applies the stashed splits verbatim, so the
-        recorded counters always equal the priced ones and shed-policy
-        re-pricing can never double-count a fill."""
+        of the ones before it) and stashes the lookups with them per
+        core; ``commit=True`` — called by the engine exactly once per
+        dispatched batch — applies the stashed lookups and splits
+        verbatim, so the recorded counters always equal the priced ones
+        and shed-policy re-pricing can never double-count a fill.  Only
+        a batch with no matching stash builds its lookups."""
         shard_map = state.shard_map
         cache = core.cache
         row_bytes = self.cache_config.row_bytes
         cold = shard_map.cold_remote_bytes_per_sample(core.node_id)
         remote = 0.0
-        items = []
-        batch_key = tuple(q.index for q in batch)
         for q in batch:
             remote += q.size * cold
-            group = shard_map.group_of(q)
-            if core.node_id in shard_map.owners[group]:
-                continue  # hot rows are shard-local; the cache sits idle
-            items.append((path.label, group, q.size * self._hot_rows_per_sample))
+        batch_key = tuple(q.index for q in batch)
         pending = state.pending_cache.get(core.node_id)
         if pending is not None and pending[0] == batch_key:
-            _, splits, overlay = pending
+            _, items, splits, overlay = pending
         else:
+            items = []
+            for q in batch:
+                group = shard_map.group_of(q)
+                if core.node_id in shard_map.owners[group]:
+                    continue  # hot rows are shard-local; the cache sits idle
+                items.append(
+                    (path.label, group, q.size * self._hot_rows_per_sample)
+                )
             splits, overlay = cache.preview_batch(items)
         hits = sum(h for h, _ in splits)
         misses = sum(m for _, m in splits)
@@ -1014,7 +1018,9 @@ class ClusterSimulator:
             if hit_bytes:
                 cache.stats.hit_s += hit_bytes / path.device.dram_bandwidth
         else:
-            state.pending_cache[core.node_id] = (batch_key, splits, overlay)
+            state.pending_cache[core.node_id] = (
+                batch_key, items, splits, overlay
+            )
         return remote, hit_bytes
 
     def _rewarm_after_switch(
@@ -1047,7 +1053,7 @@ class _RunState:
     routable cores, the installed router (mutable — the autopilot's
     reroute action swaps it mid-run), whether the routable cores still
     cover every shard group, and each core's most recent previewed
-    cache splits (pending until the dispatch commits them)."""
+    cache lookups and splits (pending until the dispatch commits them)."""
 
     __slots__ = (
         "shard_map", "members", "active", "router", "covered",

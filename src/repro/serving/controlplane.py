@@ -637,12 +637,9 @@ class ControlPlane:
         alternatives = [n for n in names if n != current]
         if not alternatives:
             return None
-        best_name = min(
-            alternatives, key=lambda n: (ops.route_miss_s(n), n)
-        )
-        saving_per_query = ops.route_miss_s(current) - ops.route_miss_s(
-            best_name
-        )
+        miss_s = {n: ops.route_miss_s(n) for n in (current, *alternatives)}
+        best_name = min(alternatives, key=lambda n: (miss_s[n], n))
+        saving_per_query = miss_s[current] - miss_s[best_name]
         timeout = core.batcher.timeout_s
         # Query rate estimate: the window just dispatched this many
         # queries, so the policy saving recurs roughly that often.

@@ -16,15 +16,22 @@ from __future__ import annotations
 
 
 class DeviceTimeline:
-    """Server-slot bookkeeping for every device a scheduler can route to."""
+    """Server-slot bookkeeping for every device a scheduler can route to.
 
-    __slots__ = ("free_at",)
+    Schedulers only read ``free_at``; only :meth:`commit` and
+    :meth:`block` write it.  The fleet-earliest slot that routers read
+    through :meth:`earliest_free_delay` is kept between those writes,
+    and both of them drop it.
+    """
+
+    __slots__ = ("free_at", "_earliest")
 
     def __init__(self, paths) -> None:
         self.free_at: dict[str, list[float]] = {
             path.device.name: [0.0] * path.device.concurrency
             for path in paths
         }
+        self._earliest: float | None = None
 
     def earliest(self, device: str) -> tuple[int, float]:
         """(server index, free time) of the device's earliest-free slot."""
@@ -35,14 +42,13 @@ class DeviceTimeline:
     def commit(self, device: str, server: int, finish_s: float) -> None:
         """Occupy one server slot until ``finish_s``."""
         self.free_at[device][server] = finish_s
-
-    def queue_delay(self, device: str, now: float) -> float:
-        """How long a batch routed to ``device`` now would wait to start."""
-        return max(0.0, min(self.free_at[device]) - now)
+        self._earliest = None
 
     def earliest_free_delay(self, now: float) -> float:
         """Wait until *any* device frees a slot (cluster load signal)."""
-        earliest = min(min(pool) for pool in self.free_at.values())
+        earliest = self._earliest
+        if earliest is None:
+            earliest = self._earliest = min(map(min, self.free_at.values()))
         return max(0.0, earliest - now)
 
     def block(self, device: str, now: float, duration_s: float) -> float:
@@ -56,4 +62,5 @@ class DeviceTimeline:
         ready = max(now, max(pool)) + duration_s
         for server in range(len(pool)):
             pool[server] = ready
+        self._earliest = None
         return ready

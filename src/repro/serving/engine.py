@@ -450,11 +450,6 @@ class EngineCore:
         """Wait until any of this node's devices frees a slot."""
         return self.timeline.earliest_free_delay(now)
 
-    @property
-    def free_at(self) -> dict[str, list[float]]:
-        """The scheduler-facing device map (owned by the timeline)."""
-        return self.timeline.free_at
-
     # ---- event handlers --------------------------------------------------
 
     def enqueue(self, query, now: float, loop: EventLoop, scenario, sink) -> None:

@@ -50,6 +50,13 @@ import numpy as np
 _FOLD_BLOCK = 4096
 
 
+def _latency_error(finish_s, arrival_s) -> ValueError:
+    return ValueError(
+        "served latency finish_s - arrival_s must be finite; got "
+        f"finish_s={float(finish_s)!r}, arrival_s={float(arrival_s)!r}"
+    )
+
+
 @dataclass
 class CacheStats:
     """Hit/miss/fill accounting for one cache (or a merged fleet view).
@@ -166,7 +173,14 @@ class _Tally:
 
     def _count(self, size, arrival_s, finish_s, path_label, accuracy,
                energy_j, dropped, sla_s) -> float | None:
-        """Fold one outcome; returns its latency, or None if it was shed."""
+        """Fold one outcome; returns its latency, or None if it was shed.
+
+        Raises ``ValueError``, before folding anything, when a served
+        outcome's latency is NaN or infinite."""
+        latency = finish_s - arrival_s
+        # x - x is 0.0 for every finite x and NaN for NaN and ±inf.
+        if latency - latency != 0.0 and not dropped:
+            raise _latency_error(finish_s, arrival_s)
         self._n += 1
         self._paths[path_label] += 1
         if finish_s > self._finish:
@@ -176,7 +190,6 @@ class _Tally:
             return None
         self._energy += energy_j
         self._served[accuracy] += size
-        latency = finish_s - arrival_s
         if latency > sla_s:
             self._late += 1
         else:
@@ -187,7 +200,15 @@ class _Tally:
                      energies, dropped, slas) -> np.ndarray | None:
         """Vector twin of :meth:`_count` for a non-empty column block on
         one path (``accuracies``, ``energies`` and ``slas`` are scalars or
-        per-query arrays); returns the latencies, or None if shed."""
+        per-query arrays); returns the latencies, or None if shed.  A
+        served block with a non-finite latency raises ``ValueError``
+        before anything is folded."""
+        if not dropped:
+            latency = finishes - arrivals
+            finite = np.isfinite(latency)
+            if not finite.all():
+                first = int(np.argmin(finite))
+                raise _latency_error(finishes[first], arrivals[first])
         m = int(sizes.size)
         self._n += m
         self._paths[path_label] += m
@@ -199,7 +220,6 @@ class _Tally:
             self._energy += float(np.asarray(energies, dtype=np.float64).sum())
         else:
             self._energy += float(energies) * m
-        latency = finishes - arrivals
         late = latency > slas
         self._late += int(np.count_nonzero(late))
         met = ~late
@@ -756,7 +776,8 @@ class StreamingMetrics(_Tally):
         """Fold one query outcome into the running aggregates.
 
         ``sla_s`` overrides the run-level target for this query (multi-tenant
-        scenarios carry per-tenant SLAs)."""
+        scenarios carry per-tenant SLAs).  A served outcome whose latency
+        is NaN or infinite raises ``ValueError``."""
         latency = self._count(
             size, arrival_s, finish_s, path_label, accuracy, energy_j,
             dropped, self.sla_s if sla_s is None else sla_s,
@@ -786,7 +807,9 @@ class StreamingMetrics(_Tally):
         time (callers group outcomes by path; a dispatch batch shares its
         path by construction). ``accuracies``/``energies``/``slas`` accept
         scalars or per-query arrays; ``slas=None`` applies the run-level
-        target. ``dropped`` marks the whole chunk as shed.
+        target. ``dropped`` marks the whole chunk as shed.  A served chunk
+        with a NaN or infinite latency raises ``ValueError`` and folds
+        nothing.
 
         Every counter metric equals the per-outcome fold's exactly, the
         reservoir consumes its uniforms bit-identically, and energy agrees

@@ -167,37 +167,38 @@ class CacheAffinityRouter(Router):
         """Re-key ownership (and the hot-byte model) on the new epoch."""
         self.shard_map = shard_map
 
-    def _affinity(self, node: "ClusterNode", group: int) -> float:
-        if node.node_id in self.shard_map.owners[group]:
-            return 1.0
-        if node.cache is None:
-            return 0.0
-        return node.cache.affinity(group)
-
     def select_node(
         self, query: "Query", now: float, candidates: Sequence["ClusterNode"]
     ) -> "ClusterNode":
         """The candidate with the lowest expected cost for this query."""
-        group = self.shard_map.group_of(query)
+        shard_map = self.shard_map
+        group = shard_map.group_of(query)
+        owners = shard_map.owners[group]
         hot_bytes = (
-            query.size * self.shard_map.hot_fraction
-            * self.shard_map.bytes_per_sample
+            query.size * shard_map.hot_fraction * shard_map.bytes_per_sample
         )
-
-        def cost(node: "ClusterNode") -> tuple:
-            # Queue delay + fabric miss penalty — the shared signal
-            # vocabulary (repro.serving.signals), also what the control
-            # plane's reroute predictions price.
-            miss_s = miss_penalty_s(
-                self._affinity(node, group), hot_bytes, self.link
-            )
-            return (
-                node.earliest_free_delay(now) + miss_s,
+        link = self.link
+        # One pass, first winner on ties (as ``min`` breaks them).  The
+        # key is queue delay + fabric miss penalty — the shared signal
+        # vocabulary (repro.serving.signals), also what the control
+        # plane's reroute predictions price — then load, then node id.
+        best = best_key = None
+        for node in candidates:
+            if node.node_id in owners:
+                affinity = 1.0
+            elif node.cache is None:
+                affinity = 0.0
+            else:
+                affinity = node.cache.affinity(group)
+            key = (
+                node.earliest_free_delay(now)
+                + miss_penalty_s(affinity, hot_bytes, link),
                 node.inflight_queries,
                 node.node_id,
             )
-
-        return min(candidates, key=cost)
+            if best is None or key < best_key:
+                best, best_key = node, key
+        return best
 
 
 def make_router(

@@ -1,0 +1,241 @@
+"""Properties of the routing inputs each node keeps current.
+
+``DeviceTimeline`` keeps its fleet-earliest slot between writes and
+``NodeCache`` memoises ``affinity(group)`` until its next mutation;
+``CacheAffinityRouter.select_node`` scores its candidates in one pass.
+The oracles here are the expressions they replaced, kept verbatim: the
+minimum over every device slot, the maximum hit rate over every resident
+label, and ``min(candidates, key=cost)`` over a per-candidate closure.
+Random operation sequences interleave every writer with reads, and each
+kept value must equal its recomputation after every step.
+"""
+
+from hypothesis import given, strategies as st
+
+from tests.property.budget import prop_settings
+
+from repro.analysis.sharding import greedy_shard
+from repro.core.mp_cache import row_entry_bytes
+from repro.data.queries import Query
+from repro.hardware.topology import ETHERNET_25G
+from repro.serving.cache import CacheConfig
+from repro.serving.cluster import ClusterNode, ShardMap
+from repro.serving.devices import DeviceTimeline
+from repro.serving.policies import NoShed
+from repro.serving.routing import CacheAffinityRouter
+from repro.serving.signals import miss_penalty_s
+
+LABELS = ("A", "B")
+DIM = 8
+
+
+class _Device:
+    def __init__(self, name, concurrency):
+        self.name = name
+        self.concurrency = concurrency
+
+
+class _Path:
+    def __init__(self, name, concurrency):
+        self.device = _Device(name, concurrency)
+
+
+class _Scheduler:
+    def __init__(self, concurrencies):
+        self.paths = [_Path(f"d{i}", c) for i, c in enumerate(concurrencies)]
+
+
+# ---- the oracles -----------------------------------------------------------
+
+
+def oracle_earliest_free_delay(timeline, now):
+    earliest = min(min(pool) for pool in timeline.free_at.values())
+    return max(0.0, earliest - now)
+
+
+def oracle_affinity(cache, group):
+    if not cache._labels:
+        return 0.0
+    return max(
+        float(cache._cdf[min(state.resident[group], cache.hot_rows)])
+        for state in cache._labels.values()
+    )
+
+
+def oracle_select_node(router, query, now, candidates):
+    group = router.shard_map.group_of(query)
+    hot_bytes = (
+        query.size * router.shard_map.hot_fraction
+        * router.shard_map.bytes_per_sample
+    )
+
+    def affinity(node):
+        if node.node_id in router.shard_map.owners[group]:
+            return 1.0
+        if node.cache is None:
+            return 0.0
+        return node.cache.affinity(group)
+
+    def cost(node):
+        miss_s = miss_penalty_s(affinity(node), hot_bytes, router.link)
+        return (
+            node.earliest_free_delay(now) + miss_s,
+            node.inflight_queries,
+            node.node_id,
+        )
+
+    return min(candidates, key=cost)
+
+
+# ---- kept state against recomputation --------------------------------------
+
+times = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 4.0])
+raw = st.integers(0, 7)
+rows = st.integers(0, 40)
+items = st.lists(st.tuples(raw, raw, rows), max_size=5)
+groups = st.lists(raw, max_size=4)
+
+timeline_ops = st.one_of(
+    st.tuples(st.just("commit"), raw, raw, times),
+    st.tuples(st.just("block"), raw, times, st.sampled_from([0.0, 0.5, 1.0])),
+)
+cache_ops = st.one_of(
+    st.tuples(st.just("batch"), items),
+    st.tuples(st.just("preview"), items),
+    st.tuples(st.just("lookup"), raw, raw, rows),
+    st.tuples(st.just("warm"), raw, st.none() | groups),
+    st.tuples(st.just("predict"), raw, groups),
+    st.tuples(st.just("rewarm"), raw, raw),
+    st.tuples(st.just("donate")),
+    st.tuples(st.just("receive"), raw, st.integers(0, 60), groups),
+    st.tuples(st.just("rekey"), st.integers(1, 4), st.integers(1, 64)),
+)
+
+
+def _apply_timeline(timeline, op):
+    kind, device_raw, a, b = op
+    devices = list(timeline.free_at)
+    device = devices[device_raw % len(devices)]
+    if kind == "commit":
+        timeline.commit(device, a % len(timeline.free_at[device]), b)
+    else:
+        timeline.block(device, a, b)
+
+
+def _apply_cache(cache, op):
+    kind, *args = op
+
+    def label(i):
+        return LABELS[i % len(LABELS)]
+
+    def lookups(drawn):
+        return [(label(l), g % cache.n_groups, n) for l, g, n in drawn]
+
+    def spread(drawn):
+        return [g % cache.n_groups for g in drawn]
+
+    if kind == "batch":
+        batch = lookups(args[0])
+        splits, overlay = cache.preview_batch(batch)
+        cache.commit_batch(batch, splits, overlay)
+    elif kind == "preview":
+        cache.preview_batch(lookups(args[0]))
+    elif kind == "lookup":
+        cache.lookup(label(args[0]), args[1] % cache.n_groups, args[2])
+    elif kind == "warm":
+        cache.warm(label(args[0]), None if args[1] is None else spread(args[1]))
+    elif kind == "predict":
+        cache.predict_warm(label(args[0]), spread(args[1]))
+    elif kind == "rewarm":
+        cache.rewarm(label(args[0]), label(args[1]))
+    elif kind == "donate":
+        cache.donate()
+    elif kind == "receive":
+        cache.receive(label(args[0]), args[1], spread(args[2]))
+    else:
+        cache.rekey(args[0], args[1])
+
+
+@prop_settings(100)
+@given(
+    concurrencies=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    steps=st.lists(st.tuples(timeline_ops, times), max_size=30),
+)
+def test_earliest_free_delay_matches_recomputation(concurrencies, steps):
+    timeline = DeviceTimeline(_Scheduler(concurrencies).paths)
+    for op, now in steps:
+        _apply_timeline(timeline, op)
+        assert timeline.earliest_free_delay(now) == (
+            oracle_earliest_free_delay(timeline, now)
+        ), op
+
+
+@prop_settings(100)
+@given(
+    capacity_entries=st.integers(1, 80),
+    n_groups=st.integers(1, 4),
+    hot_rows=st.integers(1, 64),
+    policy=st.sampled_from(["lru", "static"]),
+    steps=st.lists(cache_ops, max_size=30),
+)
+def test_affinity_matches_recomputation(
+    capacity_entries, n_groups, hot_rows, policy, steps
+):
+    config = CacheConfig(
+        capacity_bytes=capacity_entries * row_entry_bytes(DIM),
+        embedding_dim=DIM, policy=policy,
+    )
+    cache = config.build(n_groups, hot_rows)
+    for op in steps:
+        _apply_cache(cache, op)
+        for group in range(cache.n_groups):
+            assert cache.affinity(group) == oracle_affinity(cache, group), op
+
+
+# ---- the one-pass router against min(key=cost) -----------------------------
+
+N_NODES = 4
+SHARD_MAP = ShardMap.from_plan(
+    greedy_shard([100, 200, 300, 400], 8, N_NODES), replication=1
+)
+QUERY_SIZE = 64
+# One full miss penalty: a slot free this far ahead ties an owner with a
+# cold non-owner that is free now.
+PENALTY_S = miss_penalty_s(
+    0.0,
+    QUERY_SIZE * SHARD_MAP.hot_fraction * SHARD_MAP.bytes_per_sample,
+    ETHERNET_25G,
+)
+
+candidate = st.tuples(
+    st.integers(0, N_NODES),  # node id; repeats make whole keys tie
+    st.integers(0, 1),  # in-flight queries
+    st.sampled_from([0.0, 0.5, 1.0, 2.0]),  # busy for this many penalties
+    st.none() | st.tuples(raw, st.integers(0, 64)),  # warm (group, rows)
+)
+
+
+@prop_settings(150)
+@given(
+    drawn=st.lists(candidate, min_size=1, max_size=6),
+    index=st.integers(0, 63),
+)
+def test_select_node_matches_min_over_cost(drawn, index):
+    router = CacheAffinityRouter(SHARD_MAP, ETHERNET_25G)
+    candidates = []
+    for node_id, inflight, busy, warm in drawn:
+        node = ClusterNode(_Scheduler([1]), NoShed(), node_id=node_id)
+        node.inflight_queries = inflight
+        if busy:
+            node.timeline.commit("d0", 0, busy * PENALTY_S)
+        if warm is not None:
+            group, hot = warm
+            node.cache = CacheConfig(
+                capacity_bytes=64 * row_entry_bytes(DIM), embedding_dim=DIM,
+            ).build(N_NODES, 64)
+            node.cache.lookup("A", group % N_NODES, hot)
+        candidates.append(node)
+    query = Query(index=index, size=QUERY_SIZE, arrival_s=0.0)
+    assert router.select_node(query, 0.0, candidates) is oracle_select_node(
+        router, query, 0.0, candidates
+    )

@@ -81,8 +81,8 @@ class TestLeastLoaded:
     def test_queue_tie_breaks_on_earliest_free(self):
         router = LeastLoadedRouter()
         nodes = _nodes(2)
-        nodes[0].free_at["dev"][0] = 5.0  # busy until t=5
-        nodes[1].free_at["dev"][0] = 1.0
+        nodes[0].timeline.commit("dev", 0, 5.0)  # busy until t=5
+        nodes[1].timeline.commit("dev", 0, 1.0)
         assert router.select_node(_query(), 0.0, nodes).node_id == 1
 
 
@@ -163,7 +163,7 @@ class TestCacheAffinity:
         warm = next(n for n in nodes if n.node_id != owner)
         # The owner's device is backed up well past the miss penalty; the
         # fully-warm non-owner serves the hot rows at affinity 1.0.
-        nodes[owner].free_at["dev"][0] = 1.0
+        nodes[owner].timeline.commit("dev", 0, 1.0)
         warm.cache = self._warm_cache(group)
         assert router.select_node(query, 1e-6, nodes) is warm
 
@@ -177,7 +177,7 @@ class TestCacheAffinity:
         # the owner is still cheaper than pulling every hot row remotely.
         hot_bytes = query.size * shard_map.hot_fraction * shard_map.bytes_per_sample
         penalty_s = hot_bytes / ETHERNET_25G.bandwidth
-        nodes[owner].free_at["dev"][0] = penalty_s / 2
+        nodes[owner].timeline.commit("dev", 0, penalty_s / 2)
         assert router.select_node(query, 0.0, nodes).node_id == owner
 
     def test_deterministic_across_repeats(self, shard_map):

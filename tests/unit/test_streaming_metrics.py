@@ -367,3 +367,37 @@ class TestObserveMany:
                               "P", 80.0)
         assert many.p99_latency_s == one.p99_latency_s
         assert many.p50_latency_s == one.p50_latency_s
+
+
+class TestNonFiniteLatency:
+    """A served outcome whose latency is NaN or infinite is rejected when
+    it is folded: per outcome, in a small (pending) chunk, in a chunked
+    fold, and when a record-backed result settles."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("mode", ["observe", "small", "chunked", "records"])
+    def test_rejected_at_fold(self, rng, mode, bad):
+        m = {"observe": 1, "small": 100, "chunked": 300, "records": 100}[mode]
+        finishes = rng.exponential(0.01, size=m)
+        finishes[m // 2] = bad
+        if mode == "records":
+            result = ServingResult("t", sla_s=0.010, records=make_records(
+                rng.exponential(0.01, size=49).tolist()
+            ))
+            assert result.n == 49
+            result.records.extend(make_records(finishes.tolist()))
+            with pytest.raises(ValueError, match="finish_s"):
+                result.n
+            return
+        metrics = StreamingMetrics("t", sla_s=0.010)
+        for lat in rng.exponential(0.01, size=49).tolist():
+            metrics.observe(10, 0.0, 0.0, lat, "P", 80.0)
+        with pytest.raises(ValueError, match="finish_s"):
+            if mode == "observe":
+                metrics.observe(10, 0.0, 0.0, bad, "P", 80.0)
+            else:
+                metrics.observe_many(np.full(m, 10), np.zeros(m), None,
+                                     finishes, "P", 80.0)
+        # Nothing of the rejected fold was counted.
+        assert metrics.n == 49
+        assert np.isfinite(metrics.p99_latency_s)
