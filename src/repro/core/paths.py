@@ -56,8 +56,11 @@ class PathProfile:
         path's energy multiplies the roofline power at the batch's true
         size by this clamped time.
         """
-        if query_size <= 0:
-            raise ValueError("query_size must be positive")
+        # Written so that NaN fails too.
+        if not 0 < query_size < math.inf:
+            raise ValueError(
+                f"query_size must be positive and finite, got {query_size!r}"
+            )
         return math.exp(
             np.interp(math.log(query_size), self._log_sizes, self._log_latencies)
         )
@@ -72,8 +75,8 @@ class PathProfile:
         parity with the event kernel rides on exact float equality.
         """
         sizes = np.asarray(query_sizes, dtype=np.float64)
-        if sizes.size and sizes.min() <= 0:
-            raise ValueError("query_size must be positive")
+        if not ((0 < sizes) & (sizes < np.inf)).all():
+            raise ValueError("query sizes must be positive and finite")
         interp = np.interp(
             np.log(sizes), self._log_sizes, self._log_latencies
         )

@@ -21,11 +21,14 @@ def profile_path(
     encoder_hit_rate: float = 0.0,
     decoder_speedup: float = 1.0,
 ) -> PathProfile:
-    """Profile one (representation, device) pair across query sizes, all
-    anchors priced from one :class:`~repro.hardware.latency.PriceModel`."""
+    """Profile one (representation, device) pair across query sizes: every
+    anchor priced in one array call to one
+    :class:`~repro.hardware.latency.PriceModel`."""
     price = PriceModel(rep, model, device, encoder_hit_rate, decoder_speedup)
-    latencies = [price.breakdown(size).total for size in sizes]
-    return PathProfile(sizes=np.array(sizes), latencies=np.array(latencies))
+    anchors = np.array(sizes)
+    return PathProfile(
+        sizes=anchors, latencies=price.breakdown_many(anchors).total
+    )
 
 
 def make_path(

@@ -10,7 +10,9 @@ One model prices one (representation, model, device, cache effect) path:
 its constructor folds every term that does not depend on the batch size
 (per-sample bytes and FLOPs, weight-streaming floors, table placement,
 the chip or replica slice, every roofline denominator), so pricing a size
-only scales per-sample terms. ``estimate_breakdown`` is the one-shot form.
+only scales per-sample terms. That per-size arithmetic is written once and
+prices either one batch size or a column of them in one numpy pass,
+bit-equal per element. ``estimate_breakdown`` is the one-shot form.
 
 Multi-chip platforms follow the semantics documented on ``DeviceSpec``:
 ``data`` splits the query's batch, ``replicated``/``pipeline`` serve the
@@ -20,11 +22,14 @@ whole query on one replica (concurrency handled by the serving simulator),
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.hardware.device import DeviceSpec
-from repro.hardware.energy import average_power
+from repro.hardware.energy import average_power, scalar_where
 from repro.models.configs import ModelConfig
 from repro.models.interactions import DotInteraction
 
@@ -43,9 +48,16 @@ _TPU_EMBEDDING_EXPOSED = 0.30
 _SMALL_GEMM_BATCH = 64
 
 
+def _to_int64(values: np.ndarray) -> np.ndarray:
+    """``int()`` truncation, elementwise."""
+    return values.astype(np.int64)
+
+
 @dataclass
 class OperatorBreakdown:
-    """Per-operator seconds for one query on one device."""
+    """Per-operator seconds for one query on one device; from
+    :meth:`PriceModel.breakdown_many`, a component may be an array over
+    many batch sizes instead."""
 
     host: float = 0.0
     transfer: float = 0.0
@@ -102,8 +114,11 @@ class PriceModel:
     the decoder stack (kNN against centroids instead of the full MLP).
 
     Every term that does not depend on the batch size is computed here,
-    once; :meth:`breakdown` and :meth:`power` compute the rest per call and
-    keep nothing between calls.
+    once. The rest is one body that prices one batch size
+    (:meth:`breakdown`, :meth:`power`: the kernel prices each dispatch so)
+    or an array of them (:meth:`breakdown_many`, :meth:`power_many`: the
+    fast path's energy and the profile anchors), bit-equal per element.
+    Nothing is kept between calls.
     """
 
     def __init__(
@@ -211,38 +226,58 @@ class PriceModel:
 
     def breakdown(self, batch_size: int) -> OperatorBreakdown:
         """Per-operator seconds for one query of ``batch_size`` samples."""
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        n = max(1, -(-batch_size // self._splits))  # one chip's slice
-        gemm_rate = (
-            self._small_gemm_rate if n < _SMALL_GEMM_BATCH else self._gemm_rate
+        # Written so that NaN fails too.
+        if not 0 < batch_size < math.inf:
+            raise ValueError(
+                f"batch_size must be positive and finite, got {batch_size!r}"
+            )
+        return self._breakdown(batch_size, max, scalar_where, int)
+
+    def _breakdown(self, batch_size, maximum, select, trunc) -> OperatorBreakdown:
+        """The roofline's per-size arithmetic, written once for both forms.
+
+        ``batch_size`` is one size or an array of them. ``maximum``,
+        ``select`` and ``trunc`` are ``max``,
+        :func:`~repro.hardware.energy.scalar_where` and ``int`` for one,
+        and ``np.maximum``, ``np.where`` and an int64 cast for an array.
+        Every term is an IEEE +, -, x, / or comparison that numpy rounds
+        as Python does, so each element equals the scalar call bit for
+        bit. Branches on the model alone are plain ``if`` statements;
+        only the small-GEMM step and the activations' memory level
+        depend on the size.
+        """
+        n = -(-batch_size // self._splits)  # one chip's slice
+        gemm_rate = select(
+            n < _SMALL_GEMM_BATCH, self._small_gemm_rate, self._gemm_rate
         )
         transfer = 0.0
         if self._transfer_bw > 0:
             transfer = n * self._input_bytes / self._transfer_bw
         embedding = 0.0
         if self._table is not None:
-            embedding = self._table.time(n * self._table_lookups)
+            embedding = self._table.time(n * self._table_lookups, maximum)
         encoder = decoder = 0.0
         if self._dhe_lookups:
+            # There is at least one lookup, so some hit exactly when the
+            # hit rate is positive and some miss exactly when it is below 1.
             lookups = n * self._dhe_lookups
-            hits = lookups * self.encoder_hit_rate
-            if hits > 0:
-                embedding += self._hits.time(int(hits))
-            missed = lookups * self._miss
-            if missed > 0:
+            if self.encoder_hit_rate > 0:
+                hits = trunc(lookups * self.encoder_hit_rate)
+                embedding += self._hits.time(hits, maximum)
+            if self.encoder_hit_rate < 1:
                 chip = self._chip
+                missed = lookups * self._miss
                 act_bytes = missed * self._k * FP32
-                act_bw = (
-                    chip.sram_bandwidth if act_bytes <= chip.sram_capacity
-                    else chip.dram_bandwidth
+                act_bw = select(
+                    act_bytes <= chip.sram_capacity,
+                    chip.sram_bandwidth, chip.dram_bandwidth,
                 )
-                encoder = max(
+                encoder = maximum(
                     self._encoder_flops * missed / self._encoder_rate,
                     act_bytes / act_bw,
                 )
                 decode_flops = self._decoder_flops * lookups * self._miss
-                decoder = max(
+                decoder = maximum(
                     decode_flops / self._small_gemm_rate, self._decoder_weight_s
                 ) / self.decoder_speedup
         comm = 0.0
@@ -254,12 +289,14 @@ class PriceModel:
         return OperatorBreakdown(
             host=self.device.query_overhead_s,
             transfer=transfer,
-            bottom_mlp=max(n * self._bottom_flops / gemm_rate, self._bottom_weight_s),
+            bottom_mlp=maximum(
+                n * self._bottom_flops / gemm_rate, self._bottom_weight_s
+            ),
             embedding=embedding,
             encoder=encoder,
             decoder=decoder,
             interaction=n * self._interaction_flops / self._interaction_rate,
-            top_mlp=max(n * self._top_flops / gemm_rate, self._top_weight_s),
+            top_mlp=maximum(n * self._top_flops / gemm_rate, self._top_weight_s),
             launch=self.device.launch_overhead_s,
             comm=comm,
         )
@@ -269,6 +306,28 @@ class PriceModel:
         samples: :func:`~repro.hardware.energy.average_power` (paper O3)
         over :meth:`breakdown`."""
         return average_power(self.device, self.breakdown(batch_size))
+
+    def breakdown_many(self, batch_sizes) -> OperatorBreakdown:
+        """:meth:`breakdown` for a column of batch sizes, in one pass.
+
+        Each component that depends on the size is an array over
+        ``batch_sizes``, bit-equal per element to the scalar call; one
+        that does not (``host``, ``launch``, and any the path never runs)
+        stays a scalar, and ``total`` broadcasts them in field order.
+        """
+        sizes = np.asarray(batch_sizes)
+        if not ((0 < sizes) & (sizes < np.inf)).all():
+            raise ValueError("batch sizes must be positive and finite")
+        return self._breakdown(sizes, np.maximum, np.where, _to_int64)
+
+    def power_many(self, batch_sizes) -> np.ndarray:
+        """:meth:`power` for a column of batch sizes: the same
+        :func:`~repro.hardware.energy.average_power` over
+        :meth:`breakdown_many`, bit-equal per element to the scalar
+        calls."""
+        return average_power(
+            self.device, self.breakdown_many(batch_sizes), np.minimum, np.where
+        )
 
 
 def estimate_breakdown(
@@ -403,9 +462,8 @@ class _Gather:
                     device.dram_bandwidth * device.spill_gather_efficiency
                 )
 
-    def time(self, n_lookups: int) -> float:
-        """Seconds to gather ``n_lookups`` rows."""
-        if n_lookups <= 0:
-            return 0.0
+    def time(self, n_lookups, maximum=max):
+        """Seconds to gather ``n_lookups`` rows (one count, or an array of
+        them with ``np.maximum``); zero rows take exactly 0.0 s."""
         bandwidth_s = n_lookups * self.row_bytes / self.rate
-        return max(bandwidth_s, n_lookups * self.latency_s) * self.exposed
+        return maximum(bandwidth_s, n_lookups * self.latency_s) * self.exposed

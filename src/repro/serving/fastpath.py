@@ -24,7 +24,10 @@ searches its at most ``B`` arrivals (:func:`plan_batches`).
 come from one :meth:`~repro.core.paths.PathProfile.latency_many` pass per
 candidate path — bit-equal to the kernel's per-batch scalar calls — and
 routing replays each scheduler's decision rule against those tables
-(:func:`_make_router`).
+(:func:`_make_router`). Energy is read by nothing in the loop, so it is
+priced after it: one :meth:`~repro.hardware.latency.PriceModel.power_many`
+call per path over that path's batches (:func:`_price_energy`), from the
+same roofline formula as the kernel's scalar ``power`` call.
 
 **Admission is per batch.** Drop-late and deadline-aware admit a whole
 batch with one comparison: its first member's wait against the batch's
@@ -36,7 +39,7 @@ that fails this check, and every other policy, evaluates the per-member
 mask over the members' wait vector.
 
 **Outcomes commit per batch.** The dispatch loop keeps only per-batch
-scalars (start, finish, path code, admitted size, energy) and the
+scalars (start, finish, path code, admitted size, compute time) and the
 admission mask of the rare batch that sheds. Whole-stream array passes
 expand them into per-query columns after the loop (:func:`_expand`),
 which reach the sink through
@@ -75,7 +78,7 @@ from repro.core.online import (
 )
 from repro.data.queries import QueryArrays
 from repro.serving.devices import DeviceTimeline
-from repro.serving.engine import RecordSink, StreamingSink, query_energy
+from repro.serving.engine import RecordSink, StreamingSink
 from repro.serving.metrics import QueryRecord, ServingResult, StreamingMetrics
 from repro.serving.policies import (
     DeadlineAware,
@@ -278,23 +281,31 @@ class _Columns(NamedTuple):
 
 
 class _Labels:
-    """Interned (path label, accuracy) pairs the code column indexes."""
+    """Interned outcome labels the code column indexes: one per path that
+    served, and the shed label (path ``None``)."""
 
-    __slots__ = ("names", "accuracies", "_codes")
+    __slots__ = ("names", "accuracies", "paths", "_codes")
 
     def __init__(self) -> None:
         self.names: list[str] = []
         self.accuracies: list[float] = []
+        self.paths: list = []
         self._codes: dict[int, int] = {}
 
-    def code_of(self, key: int, name: str, accuracy: float) -> int:
-        """Intern one (label, accuracy) pair under an identity key."""
+    def code_of(self, path) -> int:
+        """Intern one path, or the shed label for ``None``, by identity."""
+        key = id(path)
         code = self._codes.get(key)
         if code is None:
             code = len(self.names)
             self._codes[key] = code
-            self.names.append(name)
-            self.accuracies.append(accuracy)
+            self.paths.append(path)
+            if path is None:
+                self.names.append(DROPPED_LABEL)
+                self.accuracies.append(0.0)
+            else:
+                self.names.append(path.label)
+                self.accuracies.append(path.accuracy)
         return code
 
 
@@ -346,7 +357,7 @@ def _simulate_columns(
     finished: list[float] = []
     codes: list[int] = []
     charged: list[int] = []
-    energies: list[float] = []
+    computes: list[float] = []
     shed: list[tuple[int, np.ndarray]] = []
     for b in range(len(starts_l)):
         now = times_l[b]
@@ -384,7 +395,7 @@ def _simulate_columns(
             admitted_count = int(np.count_nonzero(ok))
             if admitted_count < e - s:
                 if drop_code < 0:
-                    drop_code = labels.code_of(-1, DROPPED_LABEL, 0.0)
+                    drop_code = labels.code_of(None)
                 shed.append((b, ok))
                 if admitted_count == 0:
                     # Nothing dispatches; every row of the batch is a
@@ -394,7 +405,7 @@ def _simulate_columns(
                     finished.append(now)
                     codes.append(drop_code)
                     charged.append(1)
-                    energies.append(0.0)
+                    computes.append(0.0)
                     continue
                 admitted_size = int(sizes[s:e][ok].sum())
                 compute_s = path.latency(admitted_size)
@@ -406,17 +417,47 @@ def _simulate_columns(
         )
         begun.append(projected_start)
         finished.append(finish)
-        codes.append(labels.code_of(id(path), path.label, path.accuracy))
+        codes.append(labels.code_of(path))
         charged.append(admitted_size)
-        energies.append(
-            query_energy(path, admitted_size, compute_s)
-            if track_energy else 0.0
-        )
+        computes.append(compute_s)
+    codes_a = np.array(codes, dtype=np.int32)
+    charged_a = np.array(charged)
+    energies = (
+        _price_energy(labels, codes_a, charged_a, np.array(computes))
+        if track_energy else np.zeros(codes_a.size)
+    )
     cols = _expand(
         starts, ends, indices, sizes, arrivals, slas, begun, finished,
-        codes, charged, energies, shed, drop_code,
+        codes_a, charged_a, energies, shed, drop_code,
     )
     return cols, labels
+
+
+def _price_energy(
+    labels: _Labels,
+    codes: np.ndarray,
+    charged: np.ndarray,
+    computes: np.ndarray,
+) -> np.ndarray:
+    """Every dispatched batch's energy, one array call per path.
+
+    The kernel's ``query_energy``, by path: a priced path's roofline power
+    at each batch's admitted size times its compute time
+    (:meth:`~repro.hardware.latency.PriceModel.power_many`, bit-equal per
+    batch to the kernel's scalar ``power``), half the device's TDP over
+    the compute time for a path without a price, in the same operation
+    order. A batch that shed every member (the shed label) costs 0.0.
+    """
+    energies = np.zeros(codes.size)
+    for code, path in enumerate(labels.paths):
+        if path is None:
+            continue
+        rows = np.flatnonzero(codes == code)
+        if path.price is None:
+            energies[rows] = path.device.tdp_w * 0.5 * computes[rows]
+        else:
+            energies[rows] = path.price.power_many(charged[rows]) * computes[rows]
+    return energies
 
 
 def _expand(
@@ -428,9 +469,9 @@ def _expand(
     slas: np.ndarray,
     begun: list[float],
     finished: list[float],
-    codes: list[int],
-    charged: list[int],
-    energies: list[float],
+    codes: np.ndarray,
+    charged: np.ndarray,
+    energies: np.ndarray,
     shed: list[tuple[int, np.ndarray]],
     drop_code: int,
 ) -> _Columns:
@@ -465,14 +506,13 @@ def _expand(
 
     start = np.repeat(np.array(begun), counts)
     finish = np.repeat(np.array(finished), counts)
-    code = np.repeat(np.array(codes, dtype=np.int32), counts)
-    batch_energy = np.array(energies)
-    if batch_energy.any():
-        energy = np.repeat(batch_energy, counts)
+    code = np.repeat(codes, counts)
+    if energies.any():
+        energy = np.repeat(energies, counts)
         energy *= sizes
-        energy /= np.repeat(np.array(charged), counts)
+        energy /= np.repeat(charged, counts)
         lone = admitted == 1
-        energy[ends[lone] - 1] = batch_energy[lone]
+        energy[ends[lone] - 1] = energies[lone]
     else:
         energy = np.zeros(arrivals.size)
     dropped = np.zeros(arrivals.size, dtype=np.bool_)

@@ -50,9 +50,13 @@ import numpy as np
 _FOLD_BLOCK = 4096
 
 
-def _latency_error(finish_s, arrival_s) -> ValueError:
+def _finish_error(finish_s, arrival_s, dropped) -> ValueError:
+    what = (
+        "a dropped outcome's finish_s" if dropped
+        else "served latency finish_s - arrival_s"
+    )
     return ValueError(
-        "served latency finish_s - arrival_s must be finite; got "
+        f"{what} must be finite; got "
         f"finish_s={float(finish_s)!r}, arrival_s={float(arrival_s)!r}"
     )
 
@@ -176,11 +180,13 @@ class _Tally:
         """Fold one outcome; returns its latency, or None if it was shed.
 
         Raises ``ValueError``, before folding anything, when a served
-        outcome's latency is NaN or infinite."""
+        outcome's latency, or a shed outcome's ``finish_s`` (it still
+        counts toward the makespan), is NaN or infinite."""
         latency = finish_s - arrival_s
         # x - x is 0.0 for every finite x and NaN for NaN and ±inf.
-        if latency - latency != 0.0 and not dropped:
-            raise _latency_error(finish_s, arrival_s)
+        checked = finish_s if dropped else latency
+        if checked - checked != 0.0:
+            raise _finish_error(finish_s, arrival_s, dropped)
         self._n += 1
         self._paths[path_label] += 1
         if finish_s > self._finish:
@@ -201,14 +207,14 @@ class _Tally:
         """Vector twin of :meth:`_count` for a non-empty column block on
         one path (``accuracies``, ``energies`` and ``slas`` are scalars or
         per-query arrays); returns the latencies, or None if shed.  A
-        served block with a non-finite latency raises ``ValueError``
-        before anything is folded."""
-        if not dropped:
-            latency = finishes - arrivals
-            finite = np.isfinite(latency)
-            if not finite.all():
-                first = int(np.argmin(finite))
-                raise _latency_error(finishes[first], arrivals[first])
+        served block with a non-finite latency, or a shed block with a
+        non-finite ``finish_s``, raises ``ValueError`` before anything is
+        folded."""
+        latency = finishes - arrivals
+        finite = np.isfinite(finishes if dropped else latency)
+        if not finite.all():
+            first = int(np.argmin(finite))
+            raise _finish_error(finishes[first], arrivals[first], dropped)
         m = int(sizes.size)
         self._n += m
         self._paths[path_label] += m
@@ -777,7 +783,8 @@ class StreamingMetrics(_Tally):
 
         ``sla_s`` overrides the run-level target for this query (multi-tenant
         scenarios carry per-tenant SLAs).  A served outcome whose latency
-        is NaN or infinite raises ``ValueError``."""
+        is NaN or infinite, or a shed one whose ``finish_s`` is, raises
+        ``ValueError``."""
         latency = self._count(
             size, arrival_s, finish_s, path_label, accuracy, energy_j,
             dropped, self.sla_s if sla_s is None else sla_s,
@@ -808,8 +815,8 @@ class StreamingMetrics(_Tally):
         path by construction). ``accuracies``/``energies``/``slas`` accept
         scalars or per-query arrays; ``slas=None`` applies the run-level
         target. ``dropped`` marks the whole chunk as shed.  A served chunk
-        with a NaN or infinite latency raises ``ValueError`` and folds
-        nothing.
+        with a NaN or infinite latency, or a shed chunk with a NaN or
+        infinite ``finish_s``, raises ``ValueError`` and folds nothing.
 
         Every counter metric equals the per-outcome fold's exactly, the
         reservoir consumes its uniforms bit-identically, and energy agrees

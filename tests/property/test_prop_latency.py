@@ -1,14 +1,17 @@
 """Property-based invariants of the hardware latency/energy model."""
 
+from dataclasses import fields, replace
+
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from tests.property.budget import prop_settings
 
 from repro.core.representations import RepresentationConfig
-from repro.hardware.catalog import DEVICE_CATALOG
+from repro.hardware.catalog import DEVICE_CATALOG, IPU_POD16
 from repro.hardware.energy import average_power, energy_per_query
-from repro.hardware.latency import estimate_breakdown
+from repro.hardware.latency import PriceModel, estimate_breakdown
 from repro.models.configs import KAGGLE
 
 devices = st.sampled_from(sorted(DEVICE_CATALOG))
@@ -83,3 +86,77 @@ def test_power_bounded_by_tdp(rep, device, batch):
     power = average_power(spec, bd)
     assert spec.idle_w <= power <= spec.tdp_w + 1e-9
     assert energy_per_query(spec, bd) > 0
+
+
+# Every parallelism mode: the catalog's single, replicated and pipeline
+# specs, and data and sharded slices of the pod.
+PRICED_DEVICES = [DEVICE_CATALOG[name] for name in sorted(DEVICE_CATALOG)] + [
+    replace(IPU_POD16, parallelism="data", replicas=1),
+    replace(IPU_POD16, parallelism="sharded", replicas=1),
+]
+
+
+def priced_reps():
+    """Every representation kind; a select may send all features to DHE,
+    which leaves its table zero lookups."""
+    return st.one_of(rep_strategy(), st.builds(
+        lambda k, dnn, h, n: RepresentationConfig(
+            "select", 16, k=k, dnn=dnn, h=h, n_dhe_features=n
+        ),
+        ks, dnns, hs, st.integers(1, KAGGLE.n_sparse),
+    ))
+
+
+def _edges(price):
+    """Batch sizes on both sides of the roofline's two size-dependent
+    selects: the small-GEMM step (63 | 64 samples per chip) and the
+    encoder activations' SRAM fit (read from the model's chip slice)."""
+    splits = price._splits
+    edges = [63 * splits, 63 * splits + 1, 64 * splits]
+    if price.rep.uses_dhe and price.encoder_hit_rate < 1:
+        per_sample = price._dhe_lookups * price._miss * price.rep.k * 4
+        fit = int(price._chip.sram_capacity // per_sample)
+        edges += [
+            (fit + step) * splits + extra
+            for step in (-1, 0, 1) for extra in (0, 1)
+        ]
+    return [size for size in edges if 1 <= size <= 40_000]
+
+
+@prop_settings(40)
+@given(
+    rep=priced_reps(), device=st.sampled_from(PRICED_DEVICES),
+    hit=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+    speedup=st.floats(min_value=1.0, max_value=100.0),
+    data=st.data(),
+)
+def test_array_pricing_equals_scalar(rep, device, hit, speedup, data):
+    """The array entries price a column of sizes exactly as the scalar
+    entries price each size, and reject a column holding any size that is
+    not positive and finite."""
+    price = PriceModel(rep, KAGGLE, device, hit, speedup)
+    sizes = data.draw(st.lists(
+        st.one_of(st.integers(1, 40_000), st.sampled_from(_edges(price))),
+        min_size=1, max_size=40,
+    ))
+    column = np.array(sizes, dtype=np.int64)
+    many = price.breakdown_many(column)
+    scalar = [price.breakdown(size) for size in sizes]
+    for name in [f.name for f in fields(many)] + ["total"]:
+        got = np.broadcast_to(getattr(many, name), column.shape)
+        expected = np.array([getattr(bd, name) for bd in scalar])
+        assert (
+            got.astype(np.float64).tobytes()
+            == expected.astype(np.float64).tobytes()
+        ), name
+    power = np.array([price.power(size) for size in sizes])
+    assert price.power_many(column).tobytes() == power.tobytes()
+
+    bad = data.draw(st.sampled_from([0, -1, np.nan, np.inf, -np.inf]))
+    at = data.draw(st.integers(0, len(sizes)))
+    poisoned = np.insert(
+        column if isinstance(bad, int) else column * 1.0, at, bad
+    )
+    for entry in (price.breakdown_many, price.power_many):
+        with pytest.raises(ValueError):
+            entry(poisoned)

@@ -111,17 +111,25 @@ class TestRooflineEnergyParity:
             max_batch_size=batch, batch_timeout_s=timeout_s,
         )
 
-    @pytest.mark.parametrize("tenants, batch, timeout_s", [
-        pytest.param(False, BATCH, TIMEOUT_S, id="paper"),
+    @pytest.mark.parametrize("case, batch, timeout_s", [
+        pytest.param("paper", BATCH, TIMEOUT_S, id="paper"),
         # The node-fastday benchmark's batch shape.
-        pytest.param(True, 128, 0.004, id="tenants"),
+        pytest.param("tenants", 128, 0.004, id="tenants"),
+        # TABLE(GPU) carries no price model: the fast path prices the
+        # priced paths and the half-TDP fallback after the same loop.
+        pytest.param("mixed", BATCH, TIMEOUT_S, id="mixed"),
     ])
     def test_fast_path_matches_kernel(
-        self, scheduler, scenario, tenant_scenario, tenants, batch,
-        timeout_s,
+        self, scheduler, scenario, tenant_scenario, case, batch, timeout_s,
     ):
-        if tenants:
+        if case == "tenants":
             scenario = tenant_scenario
+        if case == "mixed":
+            scheduler = MultiPathScheduler([
+                dataclasses.replace(path, price=None)
+                if path.label == "TABLE(GPU)" else path
+                for path in scheduler.paths
+            ], scheduler.preference)
         kernel = self.batched(scheduler, "event", batch, timeout_s).run(
             scenario
         )
@@ -130,7 +138,12 @@ class TestRooflineEnergyParity:
         )
         assert kernel.total_energy_j > 0
         assert fast.records == kernel.records
-        if tenants:
+        if case == "mixed":
+            unpriced = {p.label for p in scheduler.paths if p.price is None}
+            served = [r for r in kernel.records if not r.dropped]
+            assert {r.path_label in unpriced for r in served} == {True, False}
+            assert all(r.energy_j > 0 for r in served)
+        if case == "tenants":
             # Some batch shed members that are not a prefix of it: the
             # fast path reorders its rows (shed first, then survivors),
             # and its strictest-SLA check failed.

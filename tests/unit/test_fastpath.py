@@ -8,6 +8,8 @@ cases, the graceful fallbacks for scheduler/policy *subclasses*, the
 event-only features.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,11 @@ from repro.data.queries import (
     generate_query_arrays,
     generate_query_set,
 )
+from repro.experiments.setup import build_schedulers
 from repro.hardware.catalog import CPU_BROADWELL, GPU_V100
+from repro.hardware.latency import PriceModel
+from repro.models.configs import KAGGLE
+from repro.serving import engine
 from repro.serving.fastpath import plan_batches, serve_arrays
 from repro.serving.policies import ShedPolicy
 from repro.serving.simulator import ServingSimulator
@@ -162,6 +168,41 @@ class TestServeArrays:
                     build_scheduler("static"), arrays,
                     batch_timeout_s=timeout_s,
                 )
+
+    def test_energy_priced_once_per_path(self, monkeypatch):
+        """Counted work, not a wall clock: the fast path prices energy
+        after its dispatch loop with one array call per path that served,
+        and never through the kernel's per-batch scalar pricing."""
+        calls = Counter()
+
+        def counting(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(PriceModel, "power")
+        counting(PriceModel, "power_many")
+        counting(engine, "query_energy")
+        # The node-fastday benchmark's shape, shortened.
+        arrays = generate_query_arrays(
+            n_queries=20_000, qps=24_000.0, process="diurnal",
+            amplitude=0.6, period_s=20_000 / 24_000.0, seed=1,
+        )
+        metrics = serve_arrays(
+            build_schedulers(KAGGLE)["mp-rec"], arrays, sla_s=0.010,
+            shed_policy="deadline-aware", track_energy=True,
+            max_batch_size=128, batch_timeout_s=0.004,
+        )
+        served = set(metrics.switching_breakdown()) - {"DROPPED"}
+        assert len(served) >= 2
+        assert metrics.total_energy_j > 0
+        assert calls["power"] == 0
+        assert calls["query_energy"] == 0
+        assert 1 <= calls["power_many"] <= len(served)
 
     def test_energy_apportioned_like_kernel(self):
         arrays = generate_query_arrays(n_queries=200, qps=5000.0, seed=4)

@@ -9,7 +9,12 @@ from repro.hardware.catalog import (
     IPU_POD16,
     TPU_V3_CHIP,
 )
-from repro.hardware.latency import OperatorBreakdown, estimate_breakdown, path_latency
+from repro.hardware.latency import (
+    OperatorBreakdown,
+    PriceModel,
+    estimate_breakdown,
+    path_latency,
+)
 from repro.models.configs import KAGGLE, TERABYTE
 
 TABLE = RepresentationConfig("table", 16)
@@ -71,6 +76,15 @@ class TestMonotonicity:
     def test_rejects_bad_batch(self):
         with pytest.raises(ValueError):
             estimate_breakdown(TABLE, KAGGLE, CPU_BROADWELL, 0)
+        # NaN and inf are rejected too, by the scalar and the array entries.
+        price = PriceModel(HYBRID, KAGGLE, CPU_BROADWELL)
+        for bad in (0, -1, float("nan"), float("inf")):
+            for entry in (price.breakdown, price.power):
+                with pytest.raises(ValueError):
+                    entry(bad)
+            for entry in (price.breakdown_many, price.power_many):
+                with pytest.raises(ValueError):
+                    entry(np.array([1.0, bad]))
 
     def test_rejects_bad_cache_params(self):
         with pytest.raises(ValueError):

@@ -38,8 +38,11 @@ class TestPathProfile:
 
     def test_rejects_nonpositive_query(self):
         profile = PathProfile(sizes=np.array([1, 2]), latencies=np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            profile.latency(0)
+        for bad in (0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                profile.latency(bad)
+            with pytest.raises(ValueError):
+                profile.latency_many([1.0, bad])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
     def test_rejects_degenerate_latencies(self, bad):

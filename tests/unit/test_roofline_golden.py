@@ -15,13 +15,17 @@ and the production-day batch sizes, with the MP-Cache effect off and
 on.  Any change to a roofline formula, or to the order its terms are
 added in, shows up as a reviewable diff of the golden file; regenerate
 it with ``make roofline-golden`` (which runs this file as a script)
-after an intended change.
+after an intended change. The array entries
+(``breakdown_many``, ``power_many``) must render the same text, one call
+per case over all sizes, so the file pins both forms.
 """
 
 from __future__ import annotations
 
 import pathlib
 from dataclasses import fields, replace
+
+import numpy as np
 
 from repro.core.representations import paper_configs
 from repro.hardware.catalog import (
@@ -60,6 +64,7 @@ SIZES = (1, 63, 64, 4096, 11875, 26502)
 CACHE_EFFECTS = ((0.0, 1.0), (0.83, 2.33))
 
 COLUMNS = [f.name for f in fields(OperatorBreakdown)] + ["power"]
+HEADER = "# model rep device/parallelism hit speedup size: " + " ".join(COLUMNS)
 
 
 def cases():
@@ -75,26 +80,52 @@ def cases():
                     yield model, rep, device, effect
 
 
+def _line(model, rep, device, hit, speedup, size, values) -> str:
+    return (
+        f"{model.name} {rep.label} {device.name}/{device.parallelism} "
+        f"{hit!r} {speedup!r} {size}: " + " ".join(repr(v) for v in values)
+    )
+
+
 def render() -> str:
     """The golden file's full text: one header, then one line per size."""
-    lines = ["# model rep device/parallelism hit speedup size: "
-             + " ".join(COLUMNS)]
+    lines = [HEADER]
     for model, rep, device, (hit, speedup) in cases():
         price = PriceModel(rep, model, device, hit, speedup)
         for size in SIZES:
             bd = price.breakdown(size)
             values = [getattr(bd, f.name) for f in fields(bd)]
             values.append(price.power(size))
-            lines.append(
-                f"{model.name} {rep.label} {device.name}/{device.parallelism} "
-                f"{hit!r} {speedup!r} {size}: "
-                + " ".join(repr(v) for v in values)
-            )
+            lines.append(_line(model, rep, device, hit, speedup, size, values))
+    return "\n".join(lines) + "\n"
+
+
+def render_array() -> str:
+    """The same text from the array entries: one ``breakdown_many`` and
+    one ``power_many`` call per case, over every size at once."""
+    sizes = np.array(SIZES)
+    lines = [HEADER]
+    for model, rep, device, (hit, speedup) in cases():
+        price = PriceModel(rep, model, device, hit, speedup)
+        bd = price.breakdown_many(sizes)
+        columns = [
+            np.broadcast_to(getattr(bd, f.name), sizes.shape).tolist()
+            for f in fields(bd)
+        ]
+        columns.append(price.power_many(sizes).tolist())
+        for i, size in enumerate(SIZES):
+            values = [column[i] for column in columns]
+            lines.append(_line(model, rep, device, hit, speedup, size, values))
     return "\n".join(lines) + "\n"
 
 
 def test_roofline_matches_golden():
     assert render() == GOLDEN.read_text()
+
+
+def test_array_form_matches_golden():
+    """Each array element renders exactly as the golden scalar row."""
+    assert render_array() == GOLDEN.read_text()
 
 
 if __name__ == "__main__":

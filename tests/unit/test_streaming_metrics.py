@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -370,13 +372,18 @@ class TestObserveMany:
 
 
 class TestNonFiniteLatency:
-    """A served outcome whose latency is NaN or infinite is rejected when
-    it is folded: per outcome, in a small (pending) chunk, in a chunked
-    fold, and when a record-backed result settles."""
+    """A served outcome whose latency is NaN or infinite, or a shed one
+    whose finish time is (it still counts toward the makespan), is
+    rejected when it is folded: per outcome, in a small (pending) chunk,
+    in a chunked fold, and when a record-backed result settles."""
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("bad, dropped", [
+        pytest.param(bad, dropped, id=f"{bad}-dropped" if dropped else str(bad))
+        for dropped in (False, True)
+        for bad in (float("nan"), float("inf"), -float("inf"))
+    ])
     @pytest.mark.parametrize("mode", ["observe", "small", "chunked", "records"])
-    def test_rejected_at_fold(self, rng, mode, bad):
+    def test_rejected_at_fold(self, rng, mode, bad, dropped):
         m = {"observe": 1, "small": 100, "chunked": 300, "records": 100}[mode]
         finishes = rng.exponential(0.01, size=m)
         finishes[m // 2] = bad
@@ -385,7 +392,10 @@ class TestNonFiniteLatency:
                 rng.exponential(0.01, size=49).tolist()
             ))
             assert result.n == 49
-            result.records.extend(make_records(finishes.tolist()))
+            result.records.extend(
+                replace(record, dropped=dropped)
+                for record in make_records(finishes.tolist())
+            )
             with pytest.raises(ValueError, match="finish_s"):
                 result.n
             return
@@ -394,10 +404,11 @@ class TestNonFiniteLatency:
             metrics.observe(10, 0.0, 0.0, lat, "P", 80.0)
         with pytest.raises(ValueError, match="finish_s"):
             if mode == "observe":
-                metrics.observe(10, 0.0, 0.0, bad, "P", 80.0)
+                metrics.observe(10, 0.0, 0.0, bad, "P", 80.0, dropped=dropped)
             else:
                 metrics.observe_many(np.full(m, 10), np.zeros(m), None,
-                                     finishes, "P", 80.0)
+                                     finishes, "P", 80.0, dropped=dropped)
         # Nothing of the rejected fold was counted.
         assert metrics.n == 49
         assert np.isfinite(metrics.p99_latency_s)
+        assert 0 < metrics.makespan_s < np.inf
