@@ -1,4 +1,5 @@
-# Developer entry points. `make test` is the tier-1 gate; `make bench-smoke`
+# Developer entry points. `make test` is the tier-1 gate (a test still
+# running after 10 minutes dumps every thread's stack); `make bench-smoke`
 # runs a fast subset of the figure benchmarks; `make perf-smoke` is the
 # perf-regression gate (fails when the engine-vs-reference speedup, the
 # vectorized workload generation, the autoscaler's node-seconds savings,
@@ -34,7 +35,7 @@ export PYTHONPATH := src
 	cli-golden roofline-golden profile profile-fast
 
 test:
-	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest -x -q -o faulthandler_timeout=600
 
 # (the engine-scale benchmark lives in perf-smoke; listing it here too
 # would run the heaviest bench twice per CI pass)

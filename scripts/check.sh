@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The one list of gates, run by `make check` and directly where make is
 # missing: lint (byte-compile + collect), the docstring coverage gate,
-# tier-1 tests, a quick benchmark smoke pass, the perf-regression smoke
+# tier-1 tests (a test still running after 10 minutes dumps every
+# thread's stack), a quick benchmark smoke pass, the perf-regression smoke
 # (pinned speedup / node-seconds-savings floors), the perf benchmark's
 # fingerprint self-test, one traced pass of every benchmark workload,
 # the docs link check, every example, and the tracked-results check (no
@@ -19,7 +20,7 @@ echo "== docstring coverage gate =="
 python scripts/check_docstrings.py
 
 echo "== tier-1 tests =="
-python -m pytest -x -q
+python -m pytest -x -q -o faulthandler_timeout=600
 
 echo "== benchmark smoke =="
 python -m pytest -q \

@@ -39,6 +39,7 @@ routing with zero switching-specific logic in the schedulers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.core.paths import ExecutionPath
@@ -140,12 +141,17 @@ class SwitchController:
             raise ValueError("need 0 <= lo_pressure < hi_pressure")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-        if self.cooldown_s < 0:
+        # Every check below is written so that NaN fails it.
+        if not self.cooldown_s >= 0:  # an infinite cooldown is legal
             raise ValueError("cooldown_s must be non-negative")
-        if self.headroom <= 0:
+        if not self.headroom > 0:
             raise ValueError("headroom must be positive")
-        if self.util_hi <= 0:
+        if not self.util_hi > 0:
             raise ValueError("util_hi must be positive")
+        for name in ("load_s", "teardown_s"):
+            window = getattr(self, name)
+            if window is not None and not 0.0 <= window < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
         self.candidates = {
             device: list(paths) for device, paths in self.candidates.items()
         }

@@ -56,7 +56,7 @@ class DeviceTimeline:
         switch): the device first drains its committed work, then every
         server is unavailable for ``duration_s``. Returns the instant the
         device is serviceable again."""
-        if duration_s < 0:
+        if not duration_s >= 0:  # also rejects nan
             raise ValueError("duration_s must be non-negative")
         pool = self.free_at[device]
         ready = max(now, max(pool)) + duration_s

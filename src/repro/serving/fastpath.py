@@ -24,10 +24,13 @@ searches its at most ``B`` arrivals (:func:`plan_batches`).
 come from one :meth:`~repro.core.paths.PathProfile.latency_many` pass per
 candidate path — bit-equal to the kernel's per-batch scalar calls — and
 routing replays each scheduler's decision rule against those tables
-(:func:`_make_router`). Energy is read by nothing in the loop, so it is
-priced after it: one :meth:`~repro.hardware.latency.PriceModel.power_many`
-call per path over that path's batches (:func:`_price_energy`), from the
-same roofline formula as the kernel's scalar ``power`` call.
+(:func:`_make_router`). A router reads each device's earliest free slot
+once per batch, however many paths share the device, and returns the
+chosen path's index with that slot, which the loop commits to without a
+second scan. Energy is read by nothing in the loop, so it is priced
+after it: one :meth:`~repro.hardware.latency.PriceModel.power_many` call
+per path over that path's batches (:func:`_price_energy`), from the same
+roofline formula as the kernel's scalar ``power`` call.
 
 **Admission is per batch.** Drop-late and deadline-aware admit a whole
 batch with one comparison: its first member's wait against the batch's
@@ -39,12 +42,13 @@ that fails this check, and every other policy, evaluates the per-member
 mask over the members' wait vector.
 
 **Outcomes commit per batch.** The dispatch loop keeps only per-batch
-scalars (start, finish, path code, admitted size, compute time) and the
-admission mask of the rare batch that sheds. Whole-stream array passes
-expand them into per-query columns after the loop (:func:`_expand`),
-which reach the sink through
-:meth:`~repro.serving.metrics.StreamingMetrics.observe_many` (streaming)
-or one materialization pass (records).
+scalars (start, finish, path index, admitted size, compute time) and the
+admission mask of the rare batch that sheds; each label is interned into
+fold order once, when it first appears. After the loop, one label-major
+pass builds each label's outcome block straight from its batches
+(:func:`_blocks`): the streaming sink folds each block through
+:meth:`~repro.serving.metrics.StreamingMetrics.observe_many` as it is
+built, and the other sinks get the blocks scattered into commit order.
 
 **Parity is the contract.** For every supported configuration the fast
 path reproduces the kernel's records bit for bit — same floats, same
@@ -112,8 +116,14 @@ def plan_batches(
     ``min(s + max_batch_size, searchsorted(arrivals, deadline, "right"))``
     while touching only the batch's own slice.
 
-    Returns ``(starts, ends, dispatch_times)`` as parallel arrays.
+    Returns ``(starts, ends, dispatch_times)`` as parallel arrays. Raises
+    ``ValueError`` on a batch size under 1 or a negative or NaN timeout,
+    either of which would stall the boundary chain.
     """
+    if max_batch_size < 1:
+        raise ValueError("max_batch_size must be >= 1")
+    if not timeout_s >= 0:  # also rejects nan
+        raise ValueError("batch_timeout_s must be non-negative")
     n = int(arrivals.size)
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
@@ -148,189 +158,208 @@ def plan_batches(
     )
 
 
-# ---- routing --------------------------------------------------------------
+# ---- paths and labels -----------------------------------------------------
 
 
-def _decide(paths, services, b, now, free_at):
-    """First path minimizing projected finish (wait + service)."""
-    best = None
-    best_i = -1
-    for i in paths:
-        pool = free_at[i[1]]
-        earliest = min(pool)
-        wait = earliest - now
-        if wait < 0.0:
-            wait = 0.0
-        finish = wait + services[i[0]][b]
-        if best is None or finish < best:
-            best = finish
-            best_i = i[0]
-    return best_i
-
-
-def _make_router(scheduler: Scheduler, totals: np.ndarray, sla_s: float):
-    """Compile a scheduler into ``route(b, now, free_at) -> (path, service)``.
-
-    Service-time tables are precomputed per path over every batch total
-    (bit-equal to the kernel's scalar pricing); each built-in scheduler's
-    decision rule — including tie-breaks, which follow Python ``max`` /
-    ``min`` first-winner semantics — is replayed against those tables.
-    Scheduler *subclasses* (which may override selection) fall back to
-    calling ``select_batch`` itself: exact, just not table-accelerated.
-    """
-    paths = scheduler.paths
-    if type(scheduler) is StaticScheduler:
-        path = paths[0]
-        services = path.latency_many(totals)
-        services_l = services.tolist()
-
-        def route(b, now, free_at):
-            return path, services_l[b]
-
-        return route
-
-    if type(scheduler) is TableSwitchScheduler:
-        tables = [(i, p.device.name) for i, p in enumerate(paths)]
-        services = [p.latency_many(totals).tolist() for p in paths]
-
-        def route(b, now, free_at):
-            # Queue-blind: lowest profiled service time, first wins ties.
-            best_i = 0
-            best = services[0][b]
-            for i, _ in tables[1:]:
-                s = services[i][b]
-                if s < best:
-                    best, best_i = s, i
-            return paths[best_i], best
-
-        return route
-
-    if type(scheduler) is GreedyLatencyScheduler:
-        entries = [(i, p.device.name) for i, p in enumerate(paths)]
-        services = [p.latency_many(totals).tolist() for p in paths]
-
-        def route(b, now, free_at):
-            i = _decide(entries, services, b, now, free_at)
-            return paths[i], services[i][b]
-
-        return route
-
-    if type(scheduler) is MultiPathScheduler:
-        services = [p.latency_many(totals).tolist() for p in paths]
-        by_kind = []
-        for kind in scheduler.preference:
-            group = [
-                (i, p.device.name, p.accuracy)
-                for i, p in enumerate(paths)
-                if p.kind == kind
-            ]
-            if group:
-                by_kind.append(group)
-        fallback = [
-            (i, p.device.name)
-            for i, p in enumerate(paths)
-            if p.kind == "table"
-        ] or [(i, p.device.name) for i, p in enumerate(paths)]
-
-        def route(b, now, free_at):
-            for group in by_kind:
-                best_key = None
-                best_i = -1
-                for i, device, accuracy in group:
-                    pool = free_at[device]
-                    earliest = min(pool)
-                    wait = earliest - now
-                    if wait < 0.0:
-                        wait = 0.0
-                    finish = wait + services[i][b]
-                    if finish <= sla_s:
-                        key = (accuracy, -finish)
-                        if best_key is None or key > best_key:
-                            best_key, best_i = key, i
-                if best_i >= 0:
-                    return paths[best_i], services[best_i][b]
-            i = _decide(fallback, services, b, now, free_at)
-            return paths[i], services[i][b]
-
-        return route
-
-    def route(b, now, free_at):
-        decision = scheduler.select_batch(
-            int(totals[b]), sla_s, now, free_at
-        )
-        return decision.path, decision.service_s
-
-    return route
-
-
-# ---- outcome columns ------------------------------------------------------
-
-
-class _Columns(NamedTuple):
-    """Per-query outcome columns, one row per query in commit order."""
-
-    index: np.ndarray
-    size: np.ndarray
-    arrival: np.ndarray
-    start: np.ndarray
-    finish: np.ndarray
-    code: np.ndarray
-    energy: np.ndarray
-    dropped: np.ndarray
-    sla: np.ndarray
+_SHED = -1  # the code of a batch that shed every member, and the shed label
 
 
 class _Labels:
-    """Interned outcome labels the code column indexes: one per path that
-    served, and the shed label (path ``None``)."""
+    """The paths a run can route to, by index, and its outcome labels.
 
-    __slots__ = ("names", "accuracies", "paths", "_codes")
+    Index ``i`` is ``scheduler.paths[i]``; :meth:`index` appends a path a
+    scheduler subclass returns from outside that list. ``order`` holds
+    each label once, in fold order (first appearance): a path's index the
+    first time it serves, and ``_SHED`` the first time a member is shed,
+    before the path of that batch.
+    """
 
-    def __init__(self) -> None:
-        self.names: list[str] = []
-        self.accuracies: list[float] = []
-        self.paths: list = []
-        self._codes: dict[int, int] = {}
+    __slots__ = ("paths", "fresh", "order")
 
-    def code_of(self, path) -> int:
-        """Intern one path, or the shed label for ``None``, by identity."""
-        key = id(path)
-        code = self._codes.get(key)
-        if code is None:
-            code = len(self.names)
-            self._codes[key] = code
-            self.paths.append(path)
-            if path is None:
-                self.names.append(DROPPED_LABEL)
-                self.accuracies.append(0.0)
-            else:
-                self.names.append(path.label)
-                self.accuracies.append(path.accuracy)
-        return code
+    def __init__(self, paths) -> None:
+        self.paths = list(paths)
+        self.fresh = [True] * len(self.paths)  # not yet in ``order``
+        self.order: list[int] = []
+
+    def index(self, path) -> int:
+        """A path's index, by identity (``ExecutionPath.__eq__`` would
+        compare profile arrays); an unknown path is appended."""
+        for i, known in enumerate(self.paths):
+            if known is path:
+                return i
+        self.paths.append(path)
+        self.fresh.append(True)
+        return len(self.paths) - 1
+
+    def code_of(self, key: int) -> int:
+        """Intern one label (a path index, or ``_SHED``) into fold order;
+        returns its code, the position the outcome columns use."""
+        self.order.append(key)
+        return len(self.order) - 1
+
+
+# ---- routing --------------------------------------------------------------
+
+
+def _make_router(
+    scheduler: Scheduler, labels: _Labels, totals: np.ndarray, sla_s: float,
+    free_at: dict[str, list[float]],
+):
+    """Compile a scheduler into ``route(b, now) -> (index, service, free)``.
+
+    ``index`` is the chosen path's position in ``labels.paths``,
+    ``service`` its service time for batch ``b`` and ``free`` its device's
+    earliest free time, the slot the dispatch loop commits to. Service-time
+    tables are precomputed per path over every batch total (bit-equal to
+    the kernel's scalar pricing); each built-in scheduler's decision rule —
+    including tie-breaks, which follow Python ``max`` / ``min`` first-winner
+    semantics — is replayed against those tables. A router reads each
+    device's pool at most once per batch, and every path on that device
+    reuses its wait. Scheduler *subclasses* (which may override selection)
+    fall back to calling ``select_batch`` itself: exact, just not
+    table-accelerated; its path is mapped to an index by identity.
+    """
+    kind = type(scheduler)
+    if kind not in (
+        StaticScheduler, TableSwitchScheduler, GreedyLatencyScheduler,
+        MultiPathScheduler,
+    ):
+
+        def route(b, now):
+            decision = scheduler.select_batch(
+                int(totals[b]), sla_s, now, free_at
+            )
+            path = decision.path
+            return (
+                labels.index(path), decision.service_s,
+                min(free_at[path.device.name]),
+            )
+
+        return route
+
+    paths = scheduler.paths
+    devices = list(dict.fromkeys(p.device.name for p in paths))
+    # The timeline writes its pools in place, so these stay live.
+    pools = [free_at[device] for device in devices]
+    where = [devices.index(p.device.name) for p in paths]
+    tables = [p.latency_many(totals) for p in paths]
+    services = [table.tolist() for table in tables]
+    if kind is StaticScheduler:
+        pool = pools[0]
+        services_l = services[0]
+
+        def route(b, now):
+            return 0, services_l[b], min(pool)
+
+        return route
+
+    if kind is TableSwitchScheduler:
+
+        def route(b, now):
+            # Queue-blind: lowest profiled service time, first wins ties.
+            i = min(range(len(services)), key=lambda j: services[j][b])
+            return i, services[i][b], min(pools[where[i]])
+
+        return route
+
+    entries = [(i, where[i], p.accuracy) for i, p in enumerate(paths)]
+    if kind is GreedyLatencyScheduler:
+        # MultiPath's last resort over every path, with no preference
+        # group before it: the earliest projected finish wins.
+        by_kind, fallback = [], entries
+    else:
+        by_kind = [
+            group for group in (
+                [e for e in entries if paths[e[0]].kind == preferred]
+                for preferred in scheduler.preference
+            ) if group
+        ]
+        fallback = [
+            e for e in entries if paths[e[0]].kind == "table"
+        ] or entries
+    # A path whose service alone exceeds the SLA never fits (a wait is
+    # never negative, and adding one never lowers the finish), so each
+    # batch starts at the first group with a path that can fit.
+    fits = [
+        np.any([tables[i] <= sla_s for i, _, _ in group], axis=0)
+        for group in by_kind
+    ]
+    first = np.argmax(fits + [np.ones(totals.size, bool)], axis=0)
+    tails = [by_kind[g:] for g in range(len(by_kind) + 1)]
+    plans = [tails[g] for g in first.tolist()]
+
+    def route(b, now):
+        frees = list(map(min, pools))
+        waits = []
+        for free in frees:
+            wait = free - now
+            if wait < 0.0:
+                wait = 0.0
+            waits.append(wait)
+        for group in plans[b]:
+            # The most accurate path that fits, earliest finish on ties.
+            best_key = None
+            best_i = -1
+            for i, d, accuracy in group:
+                finish = waits[d] + services[i][b]
+                if finish <= sla_s:
+                    key = (accuracy, -finish)
+                    if best_key is None or key > best_key:
+                        best_key, best_i = key, i
+            if best_i >= 0:
+                return best_i, services[best_i][b], frees[where[best_i]]
+        # Nothing fits: the earliest projected finish, first wins ties.
+        best = None
+        for i, d, _ in fallback:
+            finish = waits[d] + services[i][b]
+            if best is None or finish < best:
+                best, best_i = finish, i
+        return best_i, services[best_i][b], frees[where[best_i]]
+
+    return route
 
 
 # ---- the vectorized engine ------------------------------------------------
 
 
-def _simulate_columns(
-    scheduler: Scheduler,
-    arrivals: np.ndarray,
-    sizes: np.ndarray,
-    indices: np.ndarray,
-    slas: np.ndarray,
-    policy: ShedPolicy,
-    max_batch_size: int,
-    batch_timeout_s: float,
-    track_energy: bool,
+class _Batches(NamedTuple):
+    """The dispatch loop's outcomes, one entry per batch in dispatch order.
+
+    ``codes`` holds the serving path's index (``_SHED`` for a batch that
+    shed every member), ``charged`` the admitted sample count and
+    ``computes`` the compute time; ``shed`` lists each batch that shed
+    some members, with its admission mask.
+    """
+
+    starts: np.ndarray
+    ends: np.ndarray
+    begun: list[float]
+    finished: list[float]
+    codes: list[int]
+    charged: list[int]
+    computes: list[float]
+    shed: list[tuple[int, np.ndarray]]
+    labels: _Labels
+
+
+def _simulate(
+    scheduler: Scheduler, stream: QueryArrays, slas: np.ndarray,
+    policy: ShedPolicy, max_batch_size: int, batch_timeout_s: float,
     sla_s: float,
-) -> tuple[_Columns, _Labels]:
-    """Run the batch plan through routing/shedding/pricing into columns."""
-    labels = _Labels()
+) -> _Batches:
+    """Run the batch plan through routing, shedding and commit."""
+    arrivals = stream.arrival_s
+    sizes = stream.size
+    labels = _Labels(scheduler.paths)
+    paths = labels.paths
+    fresh = labels.fresh
     timeline = DeviceTimeline(scheduler.paths)
     free_at = timeline.free_at
     starts, ends, times = plan_batches(arrivals, max_batch_size, batch_timeout_s)
     totals = np.add.reduceat(sizes, starts)
-    route = _make_router(scheduler, totals, sla_s)
+    route = _make_router(scheduler, labels, totals, sla_s, free_at)
+    commit = timeline.commit
+    on_dispatched = scheduler.on_batch_dispatched
 
     no_shed = isinstance(policy, NoShed)
     drop_late = type(policy) is DropLate
@@ -342,7 +371,6 @@ def _simulate_columns(
         firsts_l = arrivals[starts].tolist()
         strictest = np.minimum.reduceat(slas, starts)
         bounds_l = (slack * strictest if deadline else strictest).tolist()
-    drop_code = -1
 
     starts_l = starts.tolist()
     ends_l = ends.tolist()
@@ -352,18 +380,10 @@ def _simulate_columns(
     # materializing the full list up front would cost ~4% of a 10M run.
     slas_l: list[float] | None = None
 
-    # Per-batch outcomes in dispatch order; _expand turns them into rows.
-    begun: list[float] = []
-    finished: list[float] = []
-    codes: list[int] = []
-    charged: list[int] = []
-    computes: list[float] = []
-    shed: list[tuple[int, np.ndarray]] = []
+    begun, finished, codes, charged, computes, shed = [], [], [], [], [], []
     for b in range(len(starts_l)):
         now = times_l[b]
-        path, service_s = route(b, now, free_at)
-        device = path.device.name
-        server, free = timeline.earliest(device)
+        i, service_s, free = route(b, now)
         projected_start = free if free > now else now
 
         admitted_size = totals_l[b]
@@ -394,170 +414,180 @@ def _simulate_columns(
                 )
             admitted_count = int(np.count_nonzero(ok))
             if admitted_count < e - s:
-                if drop_code < 0:
-                    drop_code = labels.code_of(None)
+                if not shed:
+                    labels.code_of(_SHED)
                 shed.append((b, ok))
                 if admitted_count == 0:
-                    # Nothing dispatches; every row of the batch is a
-                    # shed row, so _expand overwrites these values (the
-                    # size of 1 keeps its energy division finite).
+                    # Nothing dispatches; every member is a shed row.
                     begun.append(now)
                     finished.append(now)
-                    codes.append(drop_code)
-                    charged.append(1)
+                    codes.append(_SHED)
+                    charged.append(0)
                     computes.append(0.0)
                     continue
                 admitted_size = int(sizes[s:e][ok].sum())
-                compute_s = path.latency(admitted_size)
+                compute_s = paths[i].latency(admitted_size)
 
+        path = paths[i]
+        device = path.device.name
         finish = projected_start + compute_s
-        timeline.commit(device, server, finish)
-        scheduler.on_batch_dispatched(
-            path, admitted_size, projected_start, finish
-        )
+        commit(device, free_at[device].index(free), finish)
+        on_dispatched(path, admitted_size, projected_start, finish)
+        if fresh[i]:
+            fresh[i] = False
+            labels.code_of(i)
         begun.append(projected_start)
         finished.append(finish)
-        codes.append(labels.code_of(path))
+        codes.append(i)
         charged.append(admitted_size)
         computes.append(compute_s)
-    codes_a = np.array(codes, dtype=np.int32)
-    charged_a = np.array(charged)
-    energies = (
-        _price_energy(labels, codes_a, charged_a, np.array(computes))
-        if track_energy else np.zeros(codes_a.size)
+    return _Batches(
+        starts, ends, begun, finished, codes, charged, computes, shed, labels
     )
-    cols = _expand(
-        starts, ends, indices, sizes, arrivals, slas, begun, finished,
-        codes_a, charged_a, energies, shed, drop_code,
-    )
-    return cols, labels
 
 
-def _price_energy(
-    labels: _Labels,
-    codes: np.ndarray,
-    charged: np.ndarray,
-    computes: np.ndarray,
-) -> np.ndarray:
-    """Every dispatched batch's energy, one array call per path.
+def _price_energy(path, charged: np.ndarray, computes: np.ndarray) -> np.ndarray:
+    """One path's batches' energy in one array call.
 
-    The kernel's ``query_energy``, by path: a priced path's roofline power
-    at each batch's admitted size times its compute time
+    The kernel's ``query_energy``: a priced path's roofline power at each
+    batch's admitted size times its compute time
     (:meth:`~repro.hardware.latency.PriceModel.power_many`, bit-equal per
-    batch to the kernel's scalar ``power``), half the device's TDP over
+    batch to the kernel's scalar ``power``), or half the device's TDP over
     the compute time for a path without a price, in the same operation
-    order. A batch that shed every member (the shed label) costs 0.0.
+    order.
     """
-    energies = np.zeros(codes.size)
-    for code, path in enumerate(labels.paths):
-        if path is None:
-            continue
-        rows = np.flatnonzero(codes == code)
-        if path.price is None:
-            energies[rows] = path.device.tdp_w * 0.5 * computes[rows]
-        else:
-            energies[rows] = path.price.power_many(charged[rows]) * computes[rows]
-    return energies
+    if path.price is None:
+        return path.device.tdp_w * 0.5 * computes
+    return path.price.power_many(charged) * computes
 
 
-def _expand(
-    starts: np.ndarray,
-    ends: np.ndarray,
-    indices: np.ndarray,
-    sizes: np.ndarray,
-    arrivals: np.ndarray,
-    slas: np.ndarray,
-    begun: list[float],
-    finished: list[float],
-    codes: np.ndarray,
-    charged: np.ndarray,
-    energies: np.ndarray,
-    shed: list[tuple[int, np.ndarray]],
-    drop_code: int,
-) -> _Columns:
-    """Expand per-batch outcomes into per-query columns, in commit order.
+# ---- outcome blocks -------------------------------------------------------
 
-    Each batch keeps its ``[start, end)`` rows. A batch that shed
-    members commits the shed ones first, then its survivors, each group
-    in arrival order, as the kernel does; the query columns are gathered
-    only when some batch's shed members are not a prefix of it. A query's
-    energy is its size share of its batch's, and a lone survivor keeps
-    the exact batch energy (``apportion_energy``).
+
+def _blocks(
+    out: _Batches, stream: QueryArrays, slas: np.ndarray, track_energy: bool,
+    full: bool,
+):
+    """Yield each label's ``(at, columns)`` block, in fold order.
+
+    ``columns`` are the sink's nine outcome columns over the label's rows,
+    in commit order (a scalar stands for a whole column; ``index`` and
+    ``start`` are None unless ``full``), and ``at`` selects their commit
+    positions: a row mask, or the shed label's row indices. A label's
+    rows are the row ranges of its batches. A batch that shed members
+    commits the shed ones first, then its survivors, each group in
+    arrival order, as the kernel does; the shed label takes the shed
+    rows. The stream is put in this commit order (one gather per column)
+    only when some batch's shed members are not a prefix of it. A
+    query's energy is its size share of its batch's, and a lone survivor
+    keeps the exact batch energy (``apportion_energy``).
     """
-    counts = ends - starts
-    admitted = counts.copy()
+    indices = stream.index if full else None
+    sizes = stream.size
+    arrivals = stream.arrival_s
+    starts, ends = out.starts, out.ends
+    widths = ends - starts
+    kept = widths.copy()
     shed_rows = []
     order = None
-    for b, ok in shed:
+    for b, ok in out.shed:
         s = int(starts[b])
-        kept = int(np.count_nonzero(ok))
-        admitted[b] = kept
-        k = ok.size - kept
+        kept[b] = int(np.count_nonzero(ok))
+        k = ok.size - int(kept[b])
         shed_rows.append(np.arange(s, s + k))
         if ok[:k].any():
             if order is None:
                 order = np.arange(arrivals.size)
             order[s:s + ok.size] = s + np.argsort(ok, kind="stable")
+    shed_rows = np.concatenate(shed_rows) if shed_rows else None
     if order is not None:
-        indices = indices[order]
-        sizes = sizes[order]
-        arrivals = arrivals[order]
-        slas = slas[order]
-
-    start = np.repeat(np.array(begun), counts)
-    finish = np.repeat(np.array(finished), counts)
-    code = np.repeat(codes, counts)
-    if energies.any():
-        energy = np.repeat(energies, counts)
-        energy *= sizes
-        energy /= np.repeat(charged, counts)
-        lone = admitted == 1
-        energy[ends[lone] - 1] = energies[lone]
-    else:
-        energy = np.zeros(arrivals.size)
-    dropped = np.zeros(arrivals.size, dtype=np.bool_)
-    if shed_rows:
-        rows = np.concatenate(shed_rows)
-        dropped[rows] = True
-        start[rows] = arrivals[rows]
-        finish[rows] = arrivals[rows]
-        code[rows] = drop_code
-        energy[rows] = 0.0
-    return _Columns(
-        indices, sizes, arrivals, start, finish, code, energy, dropped, slas
-    )
+        sizes, arrivals, slas = sizes[order], arrivals[order], slas[order]
+        if full:
+            indices = indices[order]
+    codes = np.array(out.codes)
+    finished = np.array(out.finished)
+    charged = np.array(out.charged)
+    computes = np.array(out.computes)
+    begun = np.array(out.begun) if full else None
+    labels = out.labels
+    for code, key in enumerate(labels.order):
+        if key == _SHED:
+            at = shed_rows
+        else:
+            mine = codes == key
+            batches = np.flatnonzero(mine)
+            counts = kept[batches]
+            at = np.repeat(mine, widths)  # a row mask, in commit order
+            if shed_rows is not None:
+                at[shed_rows] = False
+        size = sizes[at]
+        arrival = arrivals[at]
+        index = indices[at] if full else None
+        if key == _SHED:
+            yield at, (
+                index, size, arrival, arrival, arrival, code, 0.0, True,
+                slas[at],
+            )
+            continue
+        energy = 0.0
+        if track_energy:
+            batch_energy = _price_energy(
+                labels.paths[key], charged[batches], computes[batches]
+            )
+            energy = np.repeat(batch_energy, counts)
+            energy *= size
+            energy /= np.repeat(charged[batches], counts)
+            lone = counts == 1
+            energy[np.cumsum(counts)[lone] - 1] = batch_energy[lone]
+        yield at, (
+            index, size, arrival,
+            np.repeat(begun[batches], counts) if full else None,
+            np.repeat(finished[batches], counts), code, energy, False,
+            slas[at],
+        )
 
 
 # ---- sink delivery --------------------------------------------------------
 
 
-def _flush_columns(cols: _Columns, labels: _Labels, sink) -> None:
-    """Deliver the committed columns to a sink in bulk.
+def _flush_columns(
+    out: _Batches, stream: QueryArrays, slas: np.ndarray, track_energy: bool,
+    sink,
+) -> None:
+    """Deliver the batch outcomes to a sink in bulk.
 
+    :class:`~repro.serving.engine.StreamingSink` folds each label's block
+    through ``observe_many`` as it is built. Every other sink needs commit
+    order: the blocks are scattered to their commit positions, then
     :class:`~repro.serving.engine.RecordSink` gets one block
     materialization pass (records in commit order, bit-equal to the
-    kernel's); :class:`~repro.serving.engine.StreamingSink` folds each
-    label group through ``observe_many``; any other sink receives the
-    kernel's per-outcome ``observe`` calls in commit order.
+    kernel's) and any other sink the kernel's per-outcome ``observe``
+    calls.
     """
-    if isinstance(sink, StreamingSink):
+    paths = out.labels.paths
+    order = out.labels.order
+    names = [DROPPED_LABEL if k == _SHED else paths[k].label for k in order]
+    accuracies = [0.0 if k == _SHED else paths[k].accuracy for k in order]
+    streaming = isinstance(sink, StreamingSink)
+    blocks = _blocks(out, stream, slas, track_energy, not streaming)
+    if streaming:
         metrics = sink.result
-        codes = cols.code
-        for code, name in enumerate(labels.names):
-            group = np.flatnonzero(codes == code)
-            if not group.size:
-                continue
-            dropped = bool(cols.dropped[group[0]])
+        for _, (_, size, arrival, _, finish, code, energy, drop, sla) in blocks:
             metrics.observe_many(
-                cols.size[group], cols.arrival[group], cols.start[group],
-                cols.finish[group], name, labels.accuracies[code],
-                energies=cols.energy[group], dropped=dropped,
-                slas=cols.sla[group],
+                size, arrival, None, finish, names[code], accuracies[code],
+                energies=energy, dropped=drop, slas=sla,
             )
         return
-    columns = zip(*(column.tolist() for column in cols))
-    names = labels.names
-    accuracies = labels.accuracies
+    n = len(stream)
+    dtypes = (
+        stream.index.dtype, stream.size.dtype, np.float64, np.float64,
+        np.float64, np.int64, np.float64, np.bool_, np.float64,
+    )
+    cols = [np.empty(n, dtype=dtype) for dtype in dtypes]
+    for at, values in blocks:
+        for col, value in zip(cols, values):
+            col[at] = value
+    columns = zip(*(col.tolist() for col in cols))
     if isinstance(sink, RecordSink):
         records = sink.result.records
         default_sla = sink.result.sla_s
@@ -615,6 +645,21 @@ def _sorted_stream(arrays: QueryArrays) -> QueryArrays:
     )
 
 
+def _serve(
+    scheduler: Scheduler, arrays: QueryArrays, sla_s: float, sla_by_tenant,
+    policy: ShedPolicy, max_batch_size: int, batch_timeout_s: float,
+    track_energy: bool, sink,
+) -> None:
+    """Sort the stream, dispatch it by batch and deliver it to ``sink``."""
+    stream = _sorted_stream(arrays)
+    slas = _sla_vector(stream, sla_s, sla_by_tenant)
+    out = _simulate(
+        scheduler, stream, slas, policy, max_batch_size, batch_timeout_s,
+        sla_s,
+    )
+    _flush_columns(out, stream, slas, track_energy, sink)
+
+
 def run_fastpath(
     scheduler: Scheduler,
     scenario,
@@ -631,14 +676,11 @@ def run_fastpath(
     single-node façade: same scenario, same sinks, same records —
     ``ServingSimulator(engine="fast")`` lands here.
     """
-    arrays = _sorted_stream(scenario.queries.as_arrays())
-    slas = _sla_vector(arrays, scenario.sla_s, scenario.sla_by_tenant)
-    cols, labels = _simulate_columns(
-        scheduler, arrays.arrival_s, arrays.size, arrays.index, slas,
-        make_policy(policy), max_batch_size, batch_timeout_s, track_energy,
-        scenario.sla_s,
+    _serve(
+        scheduler, scenario.queries.as_arrays(), scenario.sla_s,
+        scenario.sla_by_tenant, make_policy(policy), max_batch_size,
+        batch_timeout_s, track_energy, sink,
     )
-    _flush_columns(cols, labels, sink)
 
 
 def serve_arrays(
@@ -661,20 +703,12 @@ def serve_arrays(
     constant-memory with ``streaming=True`` (the default), exact records
     with ``streaming=False``.
     """
-    if max_batch_size < 1:
-        raise ValueError("max_batch_size must be >= 1")
-    if not batch_timeout_s >= 0:  # also rejects nan
-        raise ValueError("batch_timeout_s must be non-negative")
-    stream = _sorted_stream(arrays)
-    slas = _sla_vector(stream, sla_s, sla_by_tenant)
     sink = (
         StreamingSink(scheduler.name, sla_s)
         if streaming else RecordSink(scheduler.name, sla_s)
     )
-    cols, labels = _simulate_columns(
-        scheduler, stream.arrival_s, stream.size, stream.index, slas,
-        make_policy(shed_policy), max_batch_size, batch_timeout_s,
-        track_energy, sla_s,
+    _serve(
+        scheduler, arrays, sla_s, sla_by_tenant, make_policy(shed_policy),
+        max_batch_size, batch_timeout_s, track_energy, sink,
     )
-    _flush_columns(cols, labels, sink)
     return sink.result

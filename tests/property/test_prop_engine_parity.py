@@ -43,7 +43,7 @@ from repro.core.online import (
     TableSwitchScheduler,
 )
 from repro.data.queries import Query, QuerySet
-from repro.hardware.catalog import CPU_BROADWELL, GPU_V100
+from repro.hardware.catalog import CPU_BROADWELL, GPU_V100, TPU_V3_BOARD
 from repro.serving.cluster import ClusterSimulator
 from repro.serving.controlplane import ControlPlane
 from repro.serving.fastpath import plan_batches
@@ -68,8 +68,25 @@ slas = st.floats(min_value=5e-4, max_value=0.05)
 schedulers = st.sampled_from(["static", "multi"])
 # The fast path compiles a dedicated router per built-in scheduler type;
 # exercise every branch (plus the select_batch fallback via subclasses
-# in tests/unit/test_fastpath.py).
-fast_schedulers = st.sampled_from(["static", "multi", "tswitch", "greedy"])
+# in tests/unit/test_fastpath.py), each queue-aware one also on the
+# shared-device shape.
+fast_schedulers = st.sampled_from([
+    "static", "multi", "tswitch", "greedy",
+    "multi-shared", "tswitch-shared", "greedy-shared",
+])
+
+
+def shared_paths():
+    """The node-fastday shape, small: a table and a hybrid path on each of
+    two devices, so paths share one device's queue; equal accuracy per
+    kind and equal base latency across the devices, so finishes tie; and
+    a four-server device, so the server choice counts."""
+    return [
+        fake_path("table", CPU_BROADWELL, 78.79, 2e-3, label="T-CPU"),
+        fake_path("hybrid", CPU_BROADWELL, 78.98, 4e-3, label="H-CPU"),
+        fake_path("table", TPU_V3_BOARD, 78.79, 2e-3, label="T-TPU"),
+        fake_path("hybrid", TPU_V3_BOARD, 78.98, 4e-3, label="H-TPU"),
+    ]
 
 
 def build_scheduler(kind):
@@ -81,6 +98,8 @@ def build_scheduler(kind):
         fake_path("table", CPU_BROADWELL, 78.79, 2e-3, label="T"),
         fake_path("hybrid", GPU_V100, 78.98, 4e-3, label="H"),
     ]
+    if kind.endswith("-shared"):
+        kind, paths = kind[:-len("-shared")], shared_paths()
     if kind == "tswitch":
         return TableSwitchScheduler(paths)
     if kind == "greedy":
@@ -311,15 +330,8 @@ def test_elastic_cluster_is_noop_when_controller_never_fires(
     assert got == expected
 
 
-@prop_settings(40)
-@given(gaps=gaps, sizes=query_sizes, sla=slas, policy=policies,
-       batch=batches, sched_kind=fast_schedulers, tenants=st.booleans())
-def test_fastpath_matches_kernel_record_for_record(
-    gaps, sizes, sla, policy, batch, sched_kind, tenants
-):
-    """Every scheduler x policy x batch size x tenancy: the array fast
-    path reproduces the event kernel bit for bit — same floats, same
-    commit order, energy and per-tenant SLA stamps included."""
+def assert_fast_matches_kernel(gaps, sizes, sla, policy, batch, sched_kind,
+                               tenants):
     scenario = build_scenario(gaps, sizes, sla, tenants=tenants)
     event = ServingSimulator(
         build_scheduler(sched_kind), shed_policy=policy,
@@ -330,6 +342,39 @@ def test_fastpath_matches_kernel_record_for_record(
         max_batch_size=batch, batch_timeout_s=0.001, engine="fast",
     )
     assert fast.run(scenario).records == event.run(scenario).records
+
+
+@prop_settings(40)
+@given(gaps=gaps, sizes=query_sizes, sla=slas, policy=policies,
+       batch=batches, sched_kind=fast_schedulers, tenants=st.booleans())
+def test_fastpath_matches_kernel_record_for_record(
+    gaps, sizes, sla, policy, batch, sched_kind, tenants
+):
+    """Every scheduler x policy x batch size x tenancy: the array fast
+    path reproduces the event kernel bit for bit — same floats, same
+    commit order, energy and per-tenant SLA stamps included."""
+    assert_fast_matches_kernel(
+        gaps, sizes, sla, policy, batch, sched_kind, tenants
+    )
+
+
+@prop_settings(30)
+@given(gaps=st.lists(st.floats(min_value=0.0, max_value=0.002), min_size=2,
+                     max_size=40),
+       sizes=query_sizes, sla=slas, policy=policies, batch=batches,
+       sched_kind=st.sampled_from(
+           ["multi-shared", "tswitch-shared", "greedy-shared"]
+       ),
+       tenants=st.booleans())
+def test_fastpath_matches_kernel_on_shared_devices_under_load(
+    gaps, sizes, sla, policy, batch, sched_kind, tenants
+):
+    """Arrivals dense enough that both devices queue: paths read a shared
+    device's wait, finishes tie across devices, and the four-server
+    device picks among its servers, bit for bit with the kernel."""
+    assert_fast_matches_kernel(
+        gaps, sizes, sla, policy, batch, sched_kind, tenants
+    )
 
 
 @prop_settings(25)

@@ -8,12 +8,13 @@ cases, the graceful fallbacks for scheduler/policy *subclasses*, the
 event-only features.
 """
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro.core.online import StaticScheduler
+from repro.core.online import MultiPathScheduler, StaticScheduler
 from repro.data.queries import (
     Query,
     QuerySet,
@@ -24,8 +25,9 @@ from repro.experiments.setup import build_schedulers
 from repro.hardware.catalog import CPU_BROADWELL, GPU_V100
 from repro.hardware.latency import PriceModel
 from repro.models.configs import KAGGLE
-from repro.serving import engine
-from repro.serving.fastpath import plan_batches, serve_arrays
+from repro.serving import engine, fastpath
+from repro.serving.devices import DeviceTimeline
+from repro.serving.fastpath import plan_batches, run_fastpath, serve_arrays
 from repro.serving.policies import ShedPolicy
 from repro.serving.simulator import ServingSimulator
 from repro.serving.workload import ServingScenario
@@ -33,6 +35,7 @@ from repro.serving.workload import ServingScenario
 from tests.property.test_prop_engine_parity import (
     build_scenario,
     build_scheduler,
+    shared_paths,
 )
 from tests.unit.test_online import fake_path
 
@@ -76,6 +79,26 @@ class TestPlanBatches:
         assert list(zip(starts.tolist(), ends.tolist())) == [(0, 2), (2, 3)]
         assert times.tolist() == [0.0, 0.1]
 
+    def test_rejects_args_that_stall_the_boundary_chain(self):
+        # A batch size of 0 or a negative timeout never advances a batch
+        # start; a NaN timeout dispatches at NaN.
+        arrivals = np.array([0.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match="max_batch_size"):
+            plan_batches(arrivals, 0, 0.5)
+        for timeout_s in (-0.5, float("nan")):
+            with pytest.raises(ValueError, match="batch_timeout_s"):
+                plan_batches(arrivals, 2, timeout_s)
+        with pytest.raises(ValueError, match="max_batch_size"):
+            plan_batches(np.empty(0), 0, 0.5)
+
+    def test_run_fastpath_rejects_zero_batch_size(self):
+        scenario = build_scenario([0.001] * 4, [8] * 4, 0.010)
+        sink = engine.RecordSink("static", 0.010)
+        with pytest.raises(ValueError, match="max_batch_size"):
+            run_fastpath(
+                build_scheduler("static"), scenario, sink, max_batch_size=0
+            )
+
 
 class ShedEverySecond(ShedPolicy):
     """A policy subclass the fast path cannot vectorize."""
@@ -94,6 +117,26 @@ class PickyStatic(StaticScheduler):
     """A scheduler subclass: forces the select_batch fallback router."""
 
 
+class PickyMulti(MultiPathScheduler):
+    """A MultiPath subclass on the shared-device shape: the fallback maps
+    each returned path to its index by identity."""
+
+
+class CopyingMulti(MultiPathScheduler):
+    """Routes to an equal copy of each chosen path, not the listed object:
+    the fast path appends each copy as a path of its own."""
+
+    def __init__(self, paths):
+        super().__init__(paths)
+        self.copies = {id(p): dataclasses.replace(p) for p in self.paths}
+
+    def select_batch(self, total_size, sla_s, now, free_at):
+        decision = super().select_batch(total_size, sla_s, now, free_at)
+        return dataclasses.replace(
+            decision, path=self.copies[id(decision.path)]
+        )
+
+
 class TestFallbacks:
     def test_scheduler_subclass_falls_back_to_select_batch(self):
         scenario = build_scenario([0.001] * 12, [64] * 12, 0.010)
@@ -107,6 +150,27 @@ class TestFallbacks:
         )
         assert fast.run(scenario).records == event.run(scenario).records
 
+    @pytest.mark.parametrize("cls", [PickyMulti, CopyingMulti])
+    def test_multipath_subclass_on_shared_devices(self, cls):
+        # Arrivals dense enough that both devices queue, every path
+        # serves, some members are shed and all four servers are used.
+        scenario = build_scenario(
+            [0.0002, 0.0, 0.0004] * 12, [64, 512, 2048] * 12, 0.005
+        )
+        event = ServingSimulator(
+            MultiPathScheduler(shared_paths()), max_batch_size=2,
+            batch_timeout_s=0.001, shed_policy="drop-late",
+        )
+        fast = ServingSimulator(
+            cls(shared_paths()), max_batch_size=2, batch_timeout_s=0.001,
+            shed_policy="drop-late", engine="fast",
+        )
+        expected = event.run(scenario).records
+        assert fast.run(scenario).records == expected
+        assert {r.path_label for r in expected} == {
+            "T-CPU", "H-CPU", "T-TPU", "H-TPU", "DROPPED",
+        }
+
     def test_policy_subclass_falls_back_to_per_member_admit(self):
         scenario = build_scenario([0.001] * 12, [64] * 12, 0.010)
         event = ServingSimulator(
@@ -118,6 +182,30 @@ class TestFallbacks:
             max_batch_size=4, batch_timeout_s=0.002, engine="fast",
         )
         assert fast.run(scenario).records == event.run(scenario).records
+
+
+def count_calls(monkeypatch, calls, owner, name):
+    """Count the calls of ``owner.name`` into ``calls[name]``."""
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+def serve_fastday_shape():
+    """The node-fastday benchmark's shape, shortened to 20,000 queries."""
+    arrays = generate_query_arrays(
+        n_queries=20_000, qps=24_000.0, process="diurnal",
+        amplitude=0.6, period_s=20_000 / 24_000.0, seed=1,
+    )
+    return serve_arrays(
+        build_schedulers(KAGGLE)["mp-rec"], arrays, sla_s=0.010,
+        shed_policy="deadline-aware", track_energy=True,
+        max_batch_size=128, batch_timeout_s=0.004,
+    )
 
 
 class TestServeArrays:
@@ -174,35 +262,30 @@ class TestServeArrays:
         after its dispatch loop with one array call per path that served,
         and never through the kernel's per-batch scalar pricing."""
         calls = Counter()
-
-        def counting(owner, name):
-            original = getattr(owner, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(owner, name, wrapper)
-
-        counting(PriceModel, "power")
-        counting(PriceModel, "power_many")
-        counting(engine, "query_energy")
-        # The node-fastday benchmark's shape, shortened.
-        arrays = generate_query_arrays(
-            n_queries=20_000, qps=24_000.0, process="diurnal",
-            amplitude=0.6, period_s=20_000 / 24_000.0, seed=1,
-        )
-        metrics = serve_arrays(
-            build_schedulers(KAGGLE)["mp-rec"], arrays, sla_s=0.010,
-            shed_policy="deadline-aware", track_energy=True,
-            max_batch_size=128, batch_timeout_s=0.004,
-        )
+        count_calls(monkeypatch, calls, PriceModel, "power")
+        count_calls(monkeypatch, calls, PriceModel, "power_many")
+        count_calls(monkeypatch, calls, engine, "query_energy")
+        metrics = serve_fastday_shape()
         served = set(metrics.switching_breakdown()) - {"DROPPED"}
         assert len(served) >= 2
         assert metrics.total_energy_j > 0
         assert calls["power"] == 0
         assert calls["query_energy"] == 0
         assert 1 <= calls["power_many"] <= len(served)
+
+    def test_routes_from_one_device_read_and_interns_each_label_once(
+        self, monkeypatch
+    ):
+        """Counted work, not a wall clock: each batch commits to the slot
+        its router read, with no second scan of the device, and each
+        label is interned once, not once per batch (about 215 batches)."""
+        calls = Counter()
+        count_calls(monkeypatch, calls, DeviceTimeline, "earliest")
+        count_calls(monkeypatch, calls, fastpath._Labels, "code_of")
+        labels = serve_fastday_shape().switching_breakdown()
+        assert "DROPPED" in labels and len(labels) >= 3
+        assert calls["earliest"] == 0
+        assert 1 <= calls["code_of"] <= len(labels)
 
     def test_energy_apportioned_like_kernel(self):
         arrays = generate_query_arrays(n_queries=200, qps=5000.0, seed=4)

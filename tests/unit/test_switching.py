@@ -2,6 +2,7 @@
 blocking, scheduler hooks, and engine/cluster integration."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -22,6 +23,8 @@ from repro.serving.simulator import ServingSimulator
 from repro.serving.workload import ServingScenario
 
 from tests.unit.test_online import fake_path
+
+NAN = float("nan")
 
 
 def scenario_of(sizes, gap_s=0.01, sla_s=0.020):
@@ -71,6 +74,24 @@ class TestValidation:
             SwitchController(paths, patience=0)
         with pytest.raises(ValueError):
             SwitchController(paths, cooldown_s=-1.0)
+        # NaN fails every check; a bad switch window fails at
+        # construction, not inside DeviceTimeline.block at the first swap.
+        bad = [
+            {"cooldown_s": NAN}, {"headroom": NAN}, {"util_hi": NAN},
+            {"load_s": NAN}, {"load_s": -0.5}, {"load_s": math.inf},
+            {"teardown_s": NAN}, {"teardown_s": -1.0},
+            {"teardown_s": math.inf},
+        ]
+        for kwargs in bad:
+            with pytest.raises(ValueError):
+                SwitchController(paths, **kwargs)
+
+    def test_accepts_infinite_cooldown_and_zero_windows(self):
+        paths = {GPU_V100.name: [fast_coarse(), slow_accurate()]}
+        ctrl = SwitchController(
+            paths, cooldown_s=math.inf, load_s=0.0, teardown_s=0.0
+        )
+        assert ctrl.cooldown_s == math.inf
 
     def test_attach_requires_single_resident_per_device(self):
         table, hybrid = fast_coarse(), slow_accurate()
@@ -193,6 +214,16 @@ class TestTimelineCharging:
         ready = timeline.block(GPU_V100.name, now=0.1, duration_s=0.2)
         assert ready == pytest.approx(0.7)
         assert timeline.free_at[GPU_V100.name] == [pytest.approx(0.7)]
+
+    def test_block_rejects_nan_and_negative_windows(self):
+        timeline = DeviceTimeline([slow_accurate()])
+        timeline.commit(GPU_V100.name, 0, 0.5)
+        for duration_s in (NAN, -0.1):
+            with pytest.raises(ValueError, match="duration_s"):
+                timeline.block(GPU_V100.name, now=0.1, duration_s=duration_s)
+        # Nothing was written: the device still frees at 0.5.
+        assert timeline.free_at[GPU_V100.name] == [0.5]
+        assert timeline.earliest_free_delay(0.1) == pytest.approx(0.4)
 
     def test_block_from_idle_starts_now(self):
         timeline = DeviceTimeline([slow_accurate()])
