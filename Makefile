@@ -25,14 +25,15 @@
 # change; `make roofline-golden` likewise rewrites the pinned roofline
 # (tests/unit/golden/roofline.txt: every operator component and the
 # average power, bit for bit); `make profile` cProfiles the `serve` hot
-# path.
+# path, `make profile-fast` the array fast path and `make profile-geo`
+# the geo tier (3 regions, one failing, spill routing and caches).
 
 PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test bench-smoke perf-smoke bench bench-selftest bench-trace-smoke \
 	lint check examples-smoke docs-check docstrings-check results-check \
-	cli-golden roofline-golden profile profile-fast
+	cli-golden roofline-golden profile profile-fast profile-geo
 
 test:
 	$(PYTHON) -m pytest -x -q -o faulthandler_timeout=600
@@ -103,6 +104,15 @@ profile-fast:
 	$(PYTHON) -m cProfile -s cumtime -m repro serve \
 		--fastpath --streaming --queries 1000000 --qps 24000 \
 		--max-batch 256 --batch-timeout-ms 4 --shed-policy deadline-aware \
+		| head -45
+
+# The geo-failover shape: 3 regions of 2 nodes, spill routing, region
+# replication 2, node and WAN caches, region 1 failing at 0.55 s.
+profile-geo:
+	$(PYTHON) -m cProfile -s cumtime -m repro serve \
+		--regions 3 --nodes 2 --region-replication 2 \
+		--region-fail-at 0.55 --fail-region 1 --queries 10000 --qps 4500 \
+		--sla-ms 50 --max-batch 16 --batch-timeout-ms 2 --cache-mb 1 \
 		| head -45
 
 check:

@@ -351,7 +351,7 @@ _SERVE_RULES = (
      "--regions builds its own follow-the-sun phase-offset diurnal day; "
      "drop --arrivals"),
     (lambda f: f.geo and f.region_fail_at is not None
-     and f.region_fail_at < 0,
+     and not f.region_fail_at >= 0,  # also rejects nan
      "--region-fail-at must be non-negative, got {region_fail_at:g}"),
     (lambda f: f.geo and (f.region_fail_at is None) != (f.fail_region is None),
      "--region-fail-at and --fail-region go together"),

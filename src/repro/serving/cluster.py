@@ -395,6 +395,8 @@ class ClusterSimulator:
                     f"need one scheduler per node: got {len(schedulers)} "
                     f"for {n_nodes} nodes"
                 )
+        if fail_at is not None and not fail_at >= 0:  # also rejects nan
+            raise ValueError("fail_at must be non-negative")
         if fail_at is not None and not 0 <= fail_node < n_nodes:
             raise ValueError("fail_node out of range")
         if controlplane is not None:
@@ -535,7 +537,7 @@ class ClusterSimulator:
         rewarm_after = None
         if self.cache_config is not None:
             def commit(core, batch, path):
-                self._cache_batch(core, batch, path, state, commit=True)
+                self._commit_cache(core, batch, path, state)
 
             if self.switch_controller is not None:
                 rewarm_after = self._rewarm_after_switch
@@ -955,7 +957,7 @@ class ClusterSimulator:
         into cache hits (a local DRAM read on the routed path's device)
         and misses (fill bytes that ride the all-to-all); this call is
         pure — the split is committed once per dispatched batch by
-        :meth:`_cache_batch`."""
+        :meth:`_commit_cache`."""
         shard_map = state.shard_map
         if core.cache is None:
             remote = sum(
@@ -966,27 +968,22 @@ class ClusterSimulator:
                 for q in batch
             )
             return alltoall_exchange_time(remote, len(state.active), self.link)
-        remote, hit_bytes = self._cache_batch(
-            core, batch, path, state, commit=False
-        )
+        remote, hit_bytes = self._preview_cache(core, batch, path, state)
         return (
             alltoall_exchange_time(remote, len(state.active), self.link)
             + hit_bytes / path.device.dram_bandwidth
         )
 
-    def _cache_batch(
-        self, core: EngineCore, batch, path, state: "_RunState", commit: bool
+    def _preview_cache(
+        self, core: EngineCore, batch, path, state: "_RunState"
     ) -> tuple[float, int]:
         """One batch through the node cache: ``(remote_bytes, hit_bytes)``.
 
-        ``commit=False`` previews the carry-exact hit/miss splits for
-        pricing (sequentially, each lookup seeing the residency growth
-        of the ones before it) and stashes the lookups with them per
-        core; ``commit=True`` — called by the engine exactly once per
-        dispatched batch — applies the stashed lookups and splits
-        verbatim, so the recorded counters always equal the priced ones
-        and shed-policy re-pricing can never double-count a fill.  Only
-        a batch with no matching stash builds its lookups."""
+        Previews the carry-exact hit/miss splits for pricing
+        (sequentially, each lookup seeing the residency growth of the
+        ones before it) and stashes the lookups, splits, overlay and hit
+        bytes per core for :meth:`_commit_cache`.  A batch whose lookups
+        are already stashed reuses them."""
         shard_map = state.shard_map
         cache = core.cache
         row_bytes = self.cache_config.row_bytes
@@ -997,7 +994,7 @@ class ClusterSimulator:
         batch_key = tuple(q.index for q in batch)
         pending = state.pending_cache.get(core.node_id)
         if pending is not None and pending[0] == batch_key:
-            _, items, splits, overlay = pending
+            _, items, splits, overlay, _ = pending
         else:
             items = []
             for q in batch:
@@ -1012,16 +1009,30 @@ class ClusterSimulator:
         misses = sum(m for _, m in splits)
         remote += misses * row_bytes
         hit_bytes = hits * row_bytes
-        if commit:
-            state.pending_cache.pop(core.node_id, None)
-            cache.commit_batch(items, splits, overlay)
-            if hit_bytes:
-                cache.stats.hit_s += hit_bytes / path.device.dram_bandwidth
-        else:
-            state.pending_cache[core.node_id] = (
-                batch_key, items, splits, overlay
-            )
+        state.pending_cache[core.node_id] = (
+            batch_key, items, splits, overlay, hit_bytes
+        )
         return remote, hit_bytes
+
+    def _commit_cache(
+        self, core: EngineCore, batch, path, state: "_RunState"
+    ) -> None:
+        """Commit one dispatched batch's cache lookups — called by the
+        engine exactly once per dispatched batch.
+
+        Applies the batch's preview stash verbatim, so the recorded
+        counters always equal the priced ones and shed-policy re-pricing
+        can never double-count a fill.  A batch with no matching stash is
+        previewed first."""
+        pending = state.pending_cache.pop(core.node_id, None)
+        if pending is None or pending[0] != tuple(q.index for q in batch):
+            self._preview_cache(core, batch, path, state)
+            pending = state.pending_cache.pop(core.node_id)
+        _, items, splits, overlay, hit_bytes = pending
+        cache = core.cache
+        cache.commit_batch(items, splits, overlay)
+        if hit_bytes:
+            cache.stats.hit_s += hit_bytes / path.device.dram_bandwidth
 
     def _rewarm_after_switch(
         self, core: EngineCore, device: str, now: float
@@ -1053,7 +1064,8 @@ class _RunState:
     routable cores, the installed router (mutable — the autopilot's
     reroute action swaps it mid-run), whether the routable cores still
     cover every shard group, and each core's most recent previewed
-    cache lookups and splits (pending until the dispatch commits them)."""
+    cache lookups, splits, overlay and hit bytes (pending until the
+    dispatch commits them)."""
 
     __slots__ = (
         "shard_map", "members", "active", "router", "covered",

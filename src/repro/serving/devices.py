@@ -34,10 +34,11 @@ class DeviceTimeline:
         self._earliest: float | None = None
 
     def earliest(self, device: str) -> tuple[int, float]:
-        """(server index, free time) of the device's earliest-free slot."""
+        """(server index, free time) of the device's earliest-free slot;
+        the first such slot on ties."""
         pool = self.free_at[device]
-        server = min(range(len(pool)), key=pool.__getitem__)
-        return server, pool[server]
+        free = min(pool)
+        return pool.index(free), free
 
     def commit(self, device: str, server: int, finish_s: float) -> None:
         """Occupy one server slot until ``finish_s``."""

@@ -149,22 +149,23 @@ class RecordSink:
 
     def observe(self, index, size, arrival_s, start_s, finish_s, path_label,
                 accuracy, energy_j, dropped, sla_s) -> None:
-        """Materialize one outcome as a :class:`QueryRecord`."""
-        self.result.records.append(
-            QueryRecord(
-                index=index, size=size, arrival_s=arrival_s, start_s=start_s,
-                finish_s=finish_s, path_label=path_label, accuracy=accuracy,
-                energy_j=energy_j, dropped=dropped,
-                # Only tenant-specific targets are stamped on the record, so
-                # single-SLA runs stay identical to the reference loop's.
-                sla_s=None if sla_s == self.result.sla_s else sla_s,
-            )
-        )
+        """Materialize one outcome as a :class:`QueryRecord`.
+
+        The record is built from positional arguments, in field order:
+        a frozen dataclass builds markedly faster that way."""
+        self.result.records.append(QueryRecord(
+            index, size, arrival_s, start_s, finish_s, path_label, accuracy,
+            energy_j, dropped,
+            # Only tenant-specific targets are stamped on the record, so
+            # single-SLA runs stay identical to the reference loop's.
+            None if sla_s == self.result.sla_s else sla_s,
+        ))
 
     def observe_all(self, outcomes) -> None:
         """Materialize one dispatched batch's outcomes, in commit order."""
+        observe = self.observe
         for outcome in outcomes:
-            self.observe(*outcome)
+            observe(*outcome)
 
 
 class StreamingSink:
@@ -629,9 +630,13 @@ def run_kernel(cores, scenario, sink, admit, extra_events=(), on_control=None):
     for time, kind, payload in extra_events:
         loop.push(time, kind, payload)
 
+    # Test the heap list itself, not ``EventLoop.__bool__``, once per
+    # event; every event is still taken through ``pop``.
+    heap = loop._heap
+    pop = loop.pop
     time = 0.0
-    while loop:
-        time, seq, kind, payload = loop.pop()
+    while heap:
+        time, seq, kind, payload = pop()
         if kind == ARRIVAL:
             core = admit(payload, time, loop)
             if core is not None:

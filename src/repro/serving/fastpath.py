@@ -465,15 +465,17 @@ def _price_energy(path, charged: np.ndarray, computes: np.ndarray) -> np.ndarray
 
 
 def _blocks(
-    out: _Batches, stream: QueryArrays, slas: np.ndarray, track_energy: bool,
-    full: bool,
+    out: _Batches, stream: QueryArrays, slas: np.ndarray | float,
+    track_energy: bool, full: bool,
 ):
     """Yield each label's ``(at, columns)`` block, in fold order.
 
     ``columns`` are the sink's nine outcome columns over the label's rows,
     in commit order (a scalar stands for a whole column; ``index`` and
     ``start`` are None unless ``full``), and ``at`` selects their commit
-    positions: a row mask, or the shed label's row indices. A label's
+    positions: a row mask, or the shed label's row indices. ``slas`` is
+    the per-query target column, or one target for every row, which
+    every block then carries as its scalar SLA column. A label's
     rows are the row ranges of its batches. A batch that shed members
     commits the shed ones first, then its survivors, each group in
     arrival order, as the kernel does; the shed label takes the shed
@@ -485,6 +487,7 @@ def _blocks(
     indices = stream.index if full else None
     sizes = stream.size
     arrivals = stream.arrival_s
+    per_query = np.ndim(slas) > 0
     starts, ends = out.starts, out.ends
     widths = ends - starts
     kept = widths.copy()
@@ -501,7 +504,9 @@ def _blocks(
             order[s:s + ok.size] = s + np.argsort(ok, kind="stable")
     shed_rows = np.concatenate(shed_rows) if shed_rows else None
     if order is not None:
-        sizes, arrivals, slas = sizes[order], arrivals[order], slas[order]
+        sizes, arrivals = sizes[order], arrivals[order]
+        if per_query:
+            slas = slas[order]
         if full:
             indices = indices[order]
     codes = np.array(out.codes)
@@ -523,10 +528,10 @@ def _blocks(
         size = sizes[at]
         arrival = arrivals[at]
         index = indices[at] if full else None
+        sla = slas[at] if per_query else slas
         if key == _SHED:
             yield at, (
-                index, size, arrival, arrival, arrival, code, 0.0, True,
-                slas[at],
+                index, size, arrival, arrival, arrival, code, 0.0, True, sla,
             )
             continue
         energy = 0.0
@@ -542,8 +547,7 @@ def _blocks(
         yield at, (
             index, size, arrival,
             np.repeat(begun[batches], counts) if full else None,
-            np.repeat(finished[batches], counts), code, energy, False,
-            slas[at],
+            np.repeat(finished[batches], counts), code, energy, False, sla,
         )
 
 
@@ -551,8 +555,8 @@ def _blocks(
 
 
 def _flush_columns(
-    out: _Batches, stream: QueryArrays, slas: np.ndarray, track_energy: bool,
-    sink,
+    out: _Batches, stream: QueryArrays, slas: np.ndarray | float,
+    track_energy: bool, sink,
 ) -> None:
     """Deliver the batch outcomes to a sink in bulk.
 
@@ -657,7 +661,12 @@ def _serve(
         scheduler, stream, slas, policy, max_batch_size, batch_timeout_s,
         sla_s,
     )
-    _flush_columns(out, stream, slas, track_energy, sink)
+    # Without tenant targets every row's SLA is the scenario's: the
+    # outcome blocks carry it as one scalar, not a gathered column.
+    _flush_columns(
+        out, stream, slas if sla_by_tenant else float(sla_s), track_energy,
+        sink,
+    )
 
 
 def run_fastpath(

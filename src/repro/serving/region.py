@@ -80,6 +80,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.serving.cache import CacheConfig, NodeCache
 from repro.serving.cluster import ClusterSimulator, FleetLedger
 from repro.serving.engine import (
@@ -154,7 +156,7 @@ class SpillGeoRouter(GeoRouter):
     name = "spill"
 
     def __init__(self, spill_margin: float = 0.5) -> None:
-        if spill_margin < 0:
+        if not spill_margin >= 0:  # also rejects nan
             raise ValueError("spill_margin must be non-negative")
         self.spill_margin = spill_margin
 
@@ -191,6 +193,40 @@ def make_geo_router(
     raise ValueError(
         f"unknown geo router {router!r}; choose one of {GEO_ROUTER_NAMES}"
     )
+
+
+# ---- per-decision region state -------------------------------------------
+
+
+def _region_waits(states, failed, now: float) -> list[float]:
+    """Every region's projected queueing delay at ``now``, in one pass.
+
+    ``states[r].active`` holds region ``r``'s routable cores and
+    ``failed`` the failed region ids.  A region's wait is ``inf`` when it
+    failed or has no alive, non-full active core; otherwise the least of
+    those cores' earliest-free delays, read from each core's timeline.
+    """
+    waits = []
+    for region, state in enumerate(states):
+        best = _INF
+        if region not in failed:
+            for core in state.active:
+                if core.alive and not core.full:
+                    delay = core.timeline.earliest_free_delay(now)
+                    if delay < best:
+                        best = delay
+        waits.append(best)
+    return waits
+
+
+def _rehome_target(waits: list[float]) -> int | None:
+    """Where a dead home's query re-homes: the usable region (finite
+    wait) with the least wait, ties to the lowest id; None when no region
+    is usable."""
+    usable = [r for r, wait in enumerate(waits) if wait < _INF]
+    if not usable:
+        return None
+    return min(usable, key=lambda r: (waits[r], r))
 
 
 # ---- results -------------------------------------------------------------
@@ -279,44 +315,53 @@ class _GeoSink:
     latency.  When nothing in a batch crossed the WAN the whole batch is
     delegated to the wrapped sinks' ``observe_all``, preserving the
     streaming sink's vectorized fold (and 1-region bit-exactness).
+    ``homes[index]`` is query ``index``'s home region, a Python int.
     """
 
-    def __init__(self, inner, region_of, region_sinks, cross_sink) -> None:
+    def __init__(self, inner, homes, region_sinks, cross_sink) -> None:
         self.inner = inner
         self.result = inner.result
-        self._region_of = region_of
+        self._homes = homes
         self._region_sinks = region_sinks
         self._cross = cross_sink
         self.crossed: dict[int, float] = {}
 
     def observe(self, index, size, arrival_s, start_s, finish_s, path_label,
                 accuracy, energy_j, dropped, sla_s) -> None:
-        """Fold one outcome into every tier, WAN return leg included."""
-        extra = self.crossed.pop(index, None)
-        if extra is not None:
-            finish_s += extra
-        args = (index, size, arrival_s, start_s, finish_s, path_label,
-                accuracy, energy_j, dropped, sla_s)
-        self.inner.observe(*args)
-        self._region_sinks[self._region_of[index]].observe(*args)
-        if extra is not None:
-            self._cross.observe(*args)
+        """Fold one outcome (a drop) into every tier, as a batch of one."""
+        self.observe_all(((index, size, arrival_s, start_s, finish_s,
+                           path_label, accuracy, energy_j, dropped, sla_s),))
 
     def observe_all(self, outcomes) -> None:
-        """Fold one batch, vectorized whenever no member crossed the WAN."""
-        if self.crossed and any(o[0] in self.crossed for o in outcomes):
+        """Fold one batch, vectorized whenever no member crossed the WAN.
+
+        A batch holding a WAN-crossing query is folded outcome by
+        outcome in one loop: each goes to the global sink, then its home
+        region's, then the cross-region sink if it crossed."""
+        crossed = self.crossed
+        if crossed and any(o[0] in crossed for o in outcomes):
+            pop = crossed.pop
+            homes = self._homes
+            inner = self.inner.observe
+            regional = [sink.observe for sink in self._region_sinks]
+            cross = self._cross.observe
             for outcome in outcomes:
-                self.observe(*outcome)
+                extra = pop(outcome[0], None)
+                if extra is not None:  # finish_s pays the return leg
+                    outcome = (*outcome[:4], outcome[4] + extra, *outcome[5:])
+                inner(*outcome)
+                regional[homes[outcome[0]]](*outcome)
+                if extra is not None:
+                    cross(*outcome)
             return
         self.inner.observe_all(outcomes)
         if len(self._region_sinks) == 1:
             self._region_sinks[0].observe_all(outcomes)
             return
+        homes = self._homes
         by_home: dict[int, list] = {}
         for outcome in outcomes:
-            by_home.setdefault(
-                int(self._region_of[outcome[0]]), []
-            ).append(outcome)
+            by_home.setdefault(homes[outcome[0]], []).append(outcome)
         for home, grouped in by_home.items():
             self._region_sinks[home].observe_all(grouped)
 
@@ -378,7 +423,7 @@ class RegionSimulator:
             raise ValueError("fail_region and fail_at go together")
         if fail_region is not None and not 0 <= fail_region < len(regions):
             raise ValueError("fail_region out of range")
-        if fail_at is not None and fail_at < 0:
+        if fail_at is not None and not fail_at >= 0:  # also rejects nan
             raise ValueError("fail_at must be non-negative")
         if bytes_per_query <= 0:
             raise ValueError("bytes_per_query must be positive")
@@ -448,8 +493,13 @@ class RegionSimulator:
                 f"{n_queries} queries"
             )
         n = self.n_regions
-        if any(not 0 <= int(r) < n for r in region_of):
+        # Homes resolved once per run to Python ints.  ``in range`` holds
+        # only for integral ids: 0.5, -0.5 and NaN name no region.
+        homes = np.asarray(region_of).tolist()
+        ids = range(n)
+        if not all(home in ids for home in homes):
             raise ValueError("region_of entries must be region ids")
+        homes = [int(home) for home in homes]
 
         # Per-region run state: each region keeps its own shard map,
         # fabric pricing, and intra-region router; the cores live in one
@@ -468,7 +518,7 @@ class RegionSimulator:
             for _ in range(n)
         ]
         cross_sink = StreamingSink(self.scheduler_name, scenario.sla_s)
-        sink = _GeoSink(inner_sink, region_of, region_sinks, cross_sink)
+        sink = _GeoSink(inner_sink, homes, region_sinks, cross_sink)
         wan_caches = self._build_region_caches()
         # Fill bytes with the WAN cache off: the whole hot gather rides
         # the hop every time (nothing region-local to hit).
@@ -491,17 +541,6 @@ class RegionSimulator:
         rtt_est = self.wan.rtt_s(self.bytes_per_query)
         self.geo_router.reset()
 
-        def wait_of(region: int, now: float) -> float:
-            if region in failed:
-                return _INF
-            best = _INF
-            for core in rstates[region].active:
-                if core.alive and not core.full:
-                    delay = core.earliest_free_delay(now)
-                    if delay < best:
-                        best = delay
-            return best
-
         def wan_fill(target: int, home: int, query) -> int:
             # The spilled query's hot gather at the serving region: hits
             # are already region-local, misses ride this hop's WAN
@@ -521,14 +560,15 @@ class RegionSimulator:
             loop.push(now + delay, ARRIVAL, query)
 
         def decide(query, now, loop):
-            home = int(region_of[query.index])
+            # One wait pass per decision; both branches read its list.
+            home = homes[query.index]
+            waits = _region_waits(rstates, failed, now)
             if home in failed:
-                usable = [
-                    r for r in range(n)
-                    if r not in failed and wait_of(r, now) < _INF
-                ]
-                if self.region_replication >= 2 and usable:
-                    target = min(usable, key=lambda r: (wait_of(r, now), r))
+                target = (
+                    _rehome_target(waits)
+                    if self.region_replication >= 2 else None
+                )
+                if target is not None:
                     fill = wan_fill(target, home, query)
                     res.rehomed += 1
                     res.rehome_bytes += self.bytes_per_query
@@ -538,7 +578,6 @@ class RegionSimulator:
                 # No surviving replica holds the home shards.
                 ledger.drop_unservable(query)
                 return None
-            waits = [wait_of(r, now) for r in range(n)]
             target = self.geo_router.select_region(
                 home, waits, rtt_est, scenario.sla_for(query)
             )

@@ -94,12 +94,19 @@ class RoundRobinRouter(Router):
         self, query: "Query", now: float, candidates: Sequence["ClusterNode"]
     ) -> "ClusterNode":
         """The next candidate at or after the cursor, wrapping."""
-        # Candidates arrive sorted by node id; serve the first candidate at
-        # or after the cursor, wrapping — dead/full nodes are simply absent.
-        chosen = min(
-            candidates,
-            key=lambda n: ((n.node_id < self._next), n.node_id),
-        )
+        # One pass, in any candidate order: the lowest id at or after the
+        # cursor, else the lowest id (dead/full nodes are simply absent).
+        # Strict comparisons keep the first of equal ids, as ``min`` does.
+        cursor = self._next
+        ahead = wrapped = None
+        for node in candidates:
+            node_id = node.node_id
+            if node_id >= cursor:
+                if ahead is None or node_id < ahead.node_id:
+                    ahead = node
+            elif wrapped is None or node_id < wrapped.node_id:
+                wrapped = node
+        chosen = wrapped if ahead is None else ahead
         self._next = chosen.node_id + 1
         return chosen
 

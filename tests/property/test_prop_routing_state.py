@@ -8,7 +8,17 @@ minimum over every device slot, the maximum hit rate over every resident
 label, and ``min(candidates, key=cost)`` over a per-candidate closure.
 Random operation sequences interleave every writer with reads, and each
 kept value must equal its recomputation after every step.
+
+The one-pass forms are checked the same way against the code they
+replaced: the region tier's one wait pass per arrival and its re-home
+pick against the per-region ``wait_of``, ``RoundRobinRouter.select_node``
+against its keyed ``min``, ``DeviceTimeline.earliest`` against its keyed
+``min`` over slot indices, and ``_GeoSink.observe_all`` against its
+per-outcome re-entry of ``observe``.
 """
+
+import math
+from types import SimpleNamespace
 
 from hypothesis import given, strategies as st
 
@@ -22,7 +32,8 @@ from repro.serving.cache import CacheConfig
 from repro.serving.cluster import ClusterNode, ShardMap
 from repro.serving.devices import DeviceTimeline
 from repro.serving.policies import NoShed
-from repro.serving.routing import CacheAffinityRouter
+from repro.serving.region import _GeoSink, _region_waits, _rehome_target
+from repro.serving.routing import CacheAffinityRouter, RoundRobinRouter
 from repro.serving.signals import miss_penalty_s
 
 LABELS = ("A", "B")
@@ -238,4 +249,214 @@ def test_select_node_matches_min_over_cost(drawn, index):
     query = Query(index=index, size=QUERY_SIZE, arrival_s=0.0)
     assert router.select_node(query, 0.0, candidates) is oracle_select_node(
         router, query, 0.0, candidates
+    )
+
+
+# ---- one-pass forms against the code they replaced -------------------------
+
+INF = float("inf")
+
+
+def oracle_wait_of(states, failed, region, now):
+    if region in failed:
+        return INF
+    best = INF
+    for core in states[region].active:
+        if core.alive and not core.full:
+            delay = core.earliest_free_delay(now)
+            if delay < best:
+                best = delay
+    return best
+
+
+def oracle_rehome_target(states, failed, now):
+    usable = [
+        r for r in range(len(states))
+        if r not in failed and oracle_wait_of(states, failed, r, now) < INF
+    ]
+    if not usable:
+        return None
+    return min(
+        usable, key=lambda r: (oracle_wait_of(states, failed, r, now), r)
+    )
+
+
+core_state = st.tuples(
+    st.booleans(),  # alive
+    st.sampled_from([0, 2]),  # max_queue (0: unbounded)
+    st.integers(0, 3),  # in-flight queries
+    st.lists(st.tuples(raw, st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+             max_size=3),  # slot commits (server, free time)
+)
+
+
+@prop_settings(150)
+@given(
+    regions=st.lists(st.lists(core_state, max_size=3), min_size=1,
+                     max_size=4),
+    failed=st.sets(st.integers(0, 3), max_size=2),
+    now=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+)
+def test_region_waits_match_wait_of(regions, failed, now):
+    states = []
+    for cores in regions:
+        active = []
+        for alive, max_queue, inflight, commits in cores:
+            core = ClusterNode(_Scheduler([2]), NoShed(), max_queue=max_queue)
+            core.alive = alive
+            core.inflight_queries = inflight
+            for server, free in commits:
+                core.timeline.commit("d0", server % 2, free)
+            active.append(core)
+        states.append(SimpleNamespace(active=active))
+    waits = _region_waits(states, failed, now)
+    assert waits == [
+        oracle_wait_of(states, failed, r, now) for r in range(len(states))
+    ]
+    assert _rehome_target(waits) == oracle_rehome_target(states, failed, now)
+
+
+@prop_settings(150)
+@given(
+    ids=st.lists(st.integers(0, 5), min_size=1, max_size=6),
+    cursor=st.integers(0, 8),
+)
+def test_round_robin_matches_keyed_min(ids, cursor):
+    # Drawn in any order; repeated ids make whole keys tie.
+    candidates = [SimpleNamespace(node_id=i) for i in ids]
+    router = RoundRobinRouter()
+    router._next = cursor
+    expected = min(candidates, key=lambda n: (n.node_id < cursor, n.node_id))
+    assert router.select_node(None, 0.0, candidates) is expected
+    assert router._next == expected.node_id + 1
+
+
+@prop_settings(150)
+@given(
+    concurrency=st.integers(1, 4),
+    commits=st.lists(
+        st.tuples(raw, st.sampled_from([-0.0, 0.0, 0.5, 1.0])), max_size=8
+    ),
+)
+def test_earliest_slot_matches_keyed_min(concurrency, commits):
+    timeline = DeviceTimeline(_Scheduler([concurrency]).paths)
+    for server, free in commits:
+        timeline.commit("d0", server % concurrency, free)
+    pool = timeline.free_at["d0"]
+    server = min(range(len(pool)), key=pool.__getitem__)
+    got_server, got_free = timeline.earliest("d0")
+    assert got_server == server
+    assert got_free == pool[server]
+    assert math.copysign(1.0, got_free) == math.copysign(1.0, pool[server])
+
+
+class OracleGeoSink:
+    """``_GeoSink``'s per-outcome fan-out as it was, kept verbatim."""
+
+    def __init__(self, inner, region_of, region_sinks, cross_sink) -> None:
+        self.inner = inner
+        self.result = inner.result
+        self._region_of = region_of
+        self._region_sinks = region_sinks
+        self._cross = cross_sink
+        self.crossed: dict[int, float] = {}
+
+    def observe(self, index, size, arrival_s, start_s, finish_s, path_label,
+                accuracy, energy_j, dropped, sla_s) -> None:
+        extra = self.crossed.pop(index, None)
+        if extra is not None:
+            finish_s += extra
+        args = (index, size, arrival_s, start_s, finish_s, path_label,
+                accuracy, energy_j, dropped, sla_s)
+        self.inner.observe(*args)
+        self._region_sinks[self._region_of[index]].observe(*args)
+        if extra is not None:
+            self._cross.observe(*args)
+
+    def observe_all(self, outcomes) -> None:
+        if self.crossed and any(o[0] in self.crossed for o in outcomes):
+            for outcome in outcomes:
+                self.observe(*outcome)
+            return
+        self.inner.observe_all(outcomes)
+        if len(self._region_sinks) == 1:
+            self._region_sinks[0].observe_all(outcomes)
+            return
+        by_home: dict[int, list] = {}
+        for outcome in outcomes:
+            by_home.setdefault(
+                int(self._region_of[outcome[0]]), []
+            ).append(outcome)
+        for home, grouped in by_home.items():
+            self._region_sinks[home].observe_all(grouped)
+
+
+class RecordingSink:
+    """Logs every call, with its arguments, into one shared list."""
+
+    def __init__(self, name, log):
+        self.name = name
+        self.log = log
+        self.result = None
+
+    def observe(self, *outcome):
+        self.log.append((self.name, "observe", outcome))
+
+    def observe_all(self, outcomes):
+        self.log.append((self.name, "observe_all", list(outcomes)))
+
+
+def _fan_out(cls, n_regions, homes, crossed, outcomes):
+    log = []
+    sink = cls(
+        RecordingSink("inner", log), homes,
+        [RecordingSink(f"region{r}", log) for r in range(n_regions)],
+        RecordingSink("cross", log),
+    )
+    sink.crossed.update(crossed)
+    sink.observe_all(outcomes)
+    return log, sink.crossed
+
+
+outcome_fields = st.tuples(
+    st.integers(1, 256),  # size
+    st.sampled_from([0.0, 0.001, 0.0025]),  # arrival_s
+    st.sampled_from([0.003, 0.004]),  # start_s
+    st.sampled_from([0.0051, 0.0093]),  # finish_s
+    st.sampled_from(["T-CPU", "DROPPED"]),
+    st.sampled_from([78.8, 0.0]),
+    st.sampled_from([0.0, 0.25, 1.5]),
+    st.booleans(),
+    st.sampled_from([0.05, 0.01]),
+)
+
+
+@prop_settings(150)
+@given(
+    n_regions=st.integers(1, 3),
+    home_draws=st.lists(st.integers(0, 2), min_size=12, max_size=12),
+    picked=st.lists(st.integers(0, 11), min_size=1, max_size=6, unique=True),
+    fields=st.lists(outcome_fields, min_size=6, max_size=6),
+    crossing=st.sampled_from(["none", "some", "all"]),
+    legs=st.lists(st.sampled_from([0.012, 0.02]), min_size=12, max_size=12),
+    chosen=st.lists(st.booleans(), min_size=6, max_size=6),
+    elsewhere=st.sets(st.integers(0, 11), max_size=3),
+)
+def test_geo_fan_out_matches_per_outcome_loop(
+    n_regions, home_draws, picked, fields, crossing, legs, chosen, elsewhere
+):
+    homes = [h % n_regions for h in home_draws]
+    outcomes = [
+        (index, *fields[k]) for k, index in enumerate(picked)
+    ]
+    # In-flight queries of other batches may be on the wire too.
+    crossed = {i: legs[i] for i in elsewhere if i not in picked}
+    if crossing == "all":
+        crossed.update({i: legs[i] for i in picked})
+    elif crossing == "some":
+        crossed.update({
+            i: legs[i] for k, i in enumerate(picked) if chosen[k]
+        })
+    assert _fan_out(_GeoSink, n_regions, homes, crossed, outcomes) == (
+        _fan_out(OracleGeoSink, n_regions, homes, crossed, outcomes)
     )

@@ -263,6 +263,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="fail_node"):
             ClusterSimulator(mp_rec, plan, fail_at=0.1, fail_node=2)
 
+    def test_fail_at_non_negative(self, mp_rec):
+        plan = greedy_shard(KAGGLE.cardinalities, 16, 2)
+        for fail_at in (-0.1, float("nan")):
+            with pytest.raises(ValueError, match="fail_at"):
+                ClusterSimulator(mp_rec, plan, fail_at=fail_at, fail_node=1)
+        # A failure that never comes is still a schedule.
+        never = ClusterSimulator(mp_rec, plan, fail_at=float("inf"))
+        assert never.fail_at == float("inf")
+
     def test_batch_and_queue_validation(self, mp_rec):
         plan = greedy_shard(KAGGLE.cardinalities, 16, 2)
         with pytest.raises(ValueError):

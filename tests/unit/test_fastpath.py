@@ -28,6 +28,7 @@ from repro.models.configs import KAGGLE
 from repro.serving import engine, fastpath
 from repro.serving.devices import DeviceTimeline
 from repro.serving.fastpath import plan_batches, run_fastpath, serve_arrays
+from repro.serving.metrics import StreamingMetrics
 from repro.serving.policies import ShedPolicy
 from repro.serving.simulator import ServingSimulator
 from repro.serving.workload import ServingScenario
@@ -286,6 +287,34 @@ class TestServeArrays:
         assert "DROPPED" in labels and len(labels) >= 3
         assert calls["earliest"] == 0
         assert 1 <= calls["code_of"] <= len(labels)
+
+    def test_single_sla_blocks_carry_a_scalar_target(self, monkeypatch):
+        """Counted work, not a wall clock: without tenant targets every
+        block's SLA column is the scenario's scalar, never a per-row
+        gather; a multi-tenant run still folds per-query targets."""
+        ndims = []
+        original = StreamingMetrics.observe_many
+
+        def observe_many(self, *args, **kwargs):
+            ndims.append(np.ndim(kwargs["slas"]))
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(StreamingMetrics, "observe_many", observe_many)
+        metrics = serve_fastday_shape()
+        assert "DROPPED" in metrics.switching_breakdown()
+        assert len(ndims) >= 3 and set(ndims) == {0}
+
+        ndims.clear()
+        scenario = build_scenario([0.0001] * 400, [64] * 400, 0.002,
+                                  tenants=True)
+        tenants = serve_arrays(
+            build_scheduler("multi"), scenario.queries.as_arrays(),
+            sla_s=scenario.sla_s, sla_by_tenant=scenario.sla_by_tenant,
+            shed_policy="deadline-aware", max_batch_size=8,
+            batch_timeout_s=0.001,
+        )
+        assert tenants.n == 400
+        assert ndims and set(ndims) == {1}
 
     def test_energy_apportioned_like_kernel(self):
         arrays = generate_query_arrays(n_queries=200, qps=5000.0, seed=4)

@@ -1,5 +1,7 @@
 """Unit tests for the geo tier: WAN pricing, geo-routing, regions, CLI."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -15,11 +17,14 @@ from repro.experiments.setup import (
     follow_the_sun_scenario,
 )
 from repro.models.configs import KAGGLE
+from repro.serving.cache import NodeCache
 from repro.serving.cluster import ClusterSimulator, ShardMap
+from repro.serving.engine import EngineCore
 from repro.serving.region import (
     PinnedGeoRouter,
     RegionSimulator,
     SpillGeoRouter,
+    _GeoSink,
     make_geo_router,
 )
 from repro.serving.wan import (
@@ -33,6 +38,7 @@ from repro.serving.wan import (
 from repro.hardware.topology import WAN_METRO
 
 from tests.property.test_prop_engine_parity import build_scheduler
+from tests.unit.test_fastpath import count_calls
 
 INF = float("inf")
 
@@ -121,8 +127,9 @@ class TestGeoRouters:
         assert router.select_region(0, [0.10, INF, 0.01], 0.001, 0.01) == 2
 
     def test_spill_margin_validation(self):
-        with pytest.raises(ValueError, match="spill_margin"):
-            SpillGeoRouter(spill_margin=-0.1)
+        for margin in (-0.1, float("nan")):
+            with pytest.raises(ValueError, match="spill_margin"):
+                SpillGeoRouter(spill_margin=margin)
 
     def test_make_geo_router(self):
         assert make_geo_router("pinned").name == "pinned"
@@ -155,7 +162,7 @@ class TestRegionValidation:
 
     def test_rejects_member_with_failure_injection(self):
         with pytest.raises(ValueError, match="plain"):
-            RegionSimulator([("a", self.plain(fail_at=(0, 1.0)))])
+            RegionSimulator([("a", self.plain(fail_at=1.0))])
 
     def test_rejects_bad_replication(self):
         members = [("a", self.plain()), ("b", self.plain(1))]
@@ -174,8 +181,12 @@ class TestRegionValidation:
             RegionSimulator(members, fail_at=1.0)
         with pytest.raises(ValueError, match="out of range"):
             RegionSimulator(members, fail_region=2, fail_at=1.0)
-        with pytest.raises(ValueError, match="non-negative"):
-            RegionSimulator(members, fail_region=0, fail_at=-1.0)
+        for fail_at in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="non-negative"):
+                RegionSimulator(members, fail_region=0, fail_at=fail_at)
+        # A failure that never comes is still a schedule.
+        never = RegionSimulator(members, fail_region=0, fail_at=INF)
+        assert never.fail_at == INF
 
     def test_rejects_bad_byte_knobs(self):
         member = [("a", self.plain())]
@@ -185,12 +196,22 @@ class TestRegionValidation:
             RegionSimulator(member, region_cache_bytes=-1)
 
     def test_region_of_must_match_queries(self):
-        scenario, _ = tiny_scenario()
+        scenario, region_of = tiny_scenario()
         sim = build_regions(KAGGLE, 2)
         with pytest.raises(ValueError, match="entries"):
             sim.run(scenario, [0, 1])
         with pytest.raises(ValueError, match="region ids"):
             sim.run(scenario, [9] * len(scenario.queries))
+        # Homes are integral region ids: 0.5 is not region 0, -0.5 is
+        # not region 0, and NaN is no region at all.
+        bad = [
+            np.asarray(region_of) + 0.5,
+            np.where(np.arange(len(region_of)) == 3, -0.5, region_of),
+            np.where(np.arange(len(region_of)) == 3, np.nan, region_of),
+        ]
+        for homes in bad:
+            with pytest.raises(ValueError, match="region ids"):
+                sim.run(scenario, homes)
 
     def test_offset_cluster_cannot_run_standalone(self):
         scenario, _ = tiny_scenario(n_regions=1)
@@ -304,6 +325,55 @@ class TestGeoAccounting:
         )
 
 
+# ---- counted work ----------------------------------------------------------
+
+
+class TestGeoWorkCounts:
+    def test_each_arrival_and_batch_is_worked_once(self, monkeypatch):
+        """Counted work, not a wall clock, on the geo-failover shape
+        (3 regions of 2 nodes, spill routing, region replication 2, node
+        and WAN caches, region 1 failing a quarter of the way through).
+        Region waits read each core's timeline directly; a batch's cache
+        commit applies its preview's stash, so cold bytes are priced once
+        per preview and never on commit; and a batch holding a
+        WAN-crossing query is folded in ``observe_all``, leaving
+        ``_GeoSink.observe`` to dropped outcomes."""
+        calls = Counter()
+        count_calls(monkeypatch, calls, EngineCore, "earliest_free_delay")
+        count_calls(
+            monkeypatch, calls, ShardMap, "cold_remote_bytes_per_sample"
+        )
+        # Every dispatch prices its batch through the exchange (one cache
+        # preview each, every node here has a cache) and commits it once.
+        count_calls(monkeypatch, calls, ClusterSimulator, "_exchange_s")
+        count_calls(monkeypatch, calls, NodeCache, "commit_batch")
+        dropped = []
+        observe = _GeoSink.observe
+
+        def recorded_observe(self, *outcome):
+            dropped.append(outcome[8])
+            return observe(self, *outcome)
+
+        monkeypatch.setattr(_GeoSink, "observe", recorded_observe)
+        scenario, region_of = follow_the_sun_scenario(
+            n_regions=3, n_queries=1500, qps=4500.0, seed=1
+        )
+        fail_at = scenario.queries[len(scenario.queries) // 4].arrival_s
+        res = build_regions(
+            KAGGLE, 3, nodes_per_region=2, geo_router="spill",
+            region_replication=2, fail_region=1, fail_at=fail_at,
+            region_cache_bytes=1 << 20, cache_bytes=1 << 20,
+            max_batch_size=16, batch_timeout_s=0.002,
+        ).run(scenario, region_of)
+        assert res.failed_regions == [1] and res.lost == 0
+        assert res.spills > 0 and res.rehomed > 0 and res.rerouted > 0
+        assert res.cache.lookups > 0 and res.region_cache.lookups > 0
+        assert calls["earliest_free_delay"] == 0
+        assert calls["commit_batch"] > 0
+        assert calls["cold_remote_bytes_per_sample"] == calls["_exchange_s"]
+        assert all(dropped)
+
+
 # ---- supporting seams -----------------------------------------------------
 
 
@@ -382,8 +452,10 @@ class TestGeoCli:
 
     def test_region_fail_flag_hygiene(self, capsys):
         base = ["serve", "--regions", "2", "--nodes", "1"]
-        assert main(base + ["--region-fail-at", "-1", "--fail-region", "0"]) == 2
-        assert "--region-fail-at" in capsys.readouterr().err
+        for fail_at in ("-1", "nan"):
+            argv = base + ["--region-fail-at", fail_at, "--fail-region", "0"]
+            assert main(argv) == 2
+            assert "--region-fail-at" in capsys.readouterr().err
         assert main(base + ["--region-fail-at", "0.5"]) == 2
         assert "--fail-region" in capsys.readouterr().err
         assert main(base + ["--fail-region", "5", "--region-fail-at", "1"]) == 2
