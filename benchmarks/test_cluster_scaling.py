@@ -12,7 +12,7 @@ bleeds.
 
 from conftest import fmt_row
 
-from repro.experiments.setup import run_cluster_serving
+from repro.experiments.setup import build_cluster
 from repro.hardware.topology import ETHERNET_25G
 from repro.models.configs import KAGGLE
 from repro.serving.workload import ServingScenario
@@ -29,10 +29,9 @@ def _throughputs(router: str) -> dict[int, float]:
     scenario = ServingScenario.paper_default(**SATURATED)
     results = {}
     for n in NODES:
-        cluster = run_cluster_serving(
-            KAGGLE, scenario, n_nodes=n, router=router,
-            replication=min(2, n), **BATCHING,
-        )
+        cluster = build_cluster(
+            KAGGLE, n, router=router, replication=min(2, n), **BATCHING,
+        ).run(scenario)
         results[n] = cluster.result.raw_throughput
     return results
 
@@ -66,10 +65,10 @@ def test_locality_beats_oblivious_routing_on_slow_links(record):
     # replica that owns its hot shard keeps most bytes local.
     scenario = ServingScenario.paper_default(**SATURATED)
     results = {
-        router: run_cluster_serving(
-            KAGGLE, scenario, n_nodes=8, router=router, replication=2,
-            link=ETHERNET_25G, **BATCHING,
-        ).result
+        router: build_cluster(
+            KAGGLE, 8, router=router, replication=2, link=ETHERNET_25G,
+            **BATCHING,
+        ).run(scenario).result
         for router in ("round-robin", "locality")
     }
     record(
@@ -92,14 +91,14 @@ def test_locality_beats_oblivious_routing_on_slow_links(record):
 def test_failover_with_replication_loses_nothing(record):
     scenario = ServingScenario.paper_default(n_queries=3000, qps=100_000.0)
     fail_at = scenario.queries.queries[1500].arrival_s
-    replicated = run_cluster_serving(
-        KAGGLE, scenario, n_nodes=4, router="locality", replication=2,
-        fail_at=fail_at, fail_node=1, **BATCHING,
-    )
-    unreplicated = run_cluster_serving(
-        KAGGLE, scenario, n_nodes=4, router="locality", replication=1,
-        fail_at=fail_at, fail_node=1, **BATCHING,
-    )
+    replicated = build_cluster(
+        KAGGLE, 4, router="locality", replication=2, fail_at=fail_at,
+        fail_node=1, **BATCHING,
+    ).run(scenario)
+    unreplicated = build_cluster(
+        KAGGLE, 4, router="locality", replication=1, fail_at=fail_at,
+        fail_node=1, **BATCHING,
+    ).run(scenario)
     record(
         "Node-failure drill at mid-run (4 nodes, fail node 1)",
         [

@@ -14,9 +14,9 @@ Three exhibits:
      showing the escalation ladder emerge from prices alone: re-routes
      and re-warms are nearly free, a switch costs milliseconds of node
      time, a join costs a warm window plus rented iron.
-  3. The real deployment — the KAGGLE model through
-     `run_autopilot_serving`, decisions priced off real embedding-table
-     bytes.
+  3. The real deployment — the KAGGLE model's runtime-switching
+     deployment (`build_switching`) on a `build_cluster` fleet under a
+     `ControlPlane`, decisions priced off real embedding-table bytes.
 """
 
 import argparse
@@ -29,7 +29,7 @@ from repro.core.paths import ExecutionPath, PathProfile
 from repro.core.representations import RepresentationConfig
 from repro.core.switching import SwitchController
 from repro.data.queries import Query, QuerySet, arrival_times
-from repro.experiments.setup import run_autopilot_serving
+from repro.experiments.setup import build_cluster, build_switching
 from repro.hardware.catalog import GPU_V100
 from repro.models.configs import KAGGLE
 from repro.serving.cluster import ClusterSimulator
@@ -153,11 +153,13 @@ def real_deployment(n_queries: int) -> None:
     scenario = ServingScenario.flash_crowd(
         n_queries=n_queries, qps=6_000.0, sla_s=0.010, spike_factor=3.0,
     )
-    cluster = run_autopilot_serving(
-        KAGGLE, scenario, min_nodes=2, max_nodes=4, replication=2,
-        max_batch_size=8, batch_timeout_s=0.001, patience=2,
-        initial_nodes=3, cache_bytes=64 << 20,
-    )
+    scheduler, switcher = build_switching(KAGGLE)
+    plane = ControlPlane(min_nodes=2, max_nodes=4, initial_nodes=3, patience=2)
+    cluster = build_cluster(
+        KAGGLE, 4, scheduler, router="least-loaded", replication=2,
+        switch_controller=switcher, controlplane=plane,
+        max_batch_size=8, batch_timeout_s=0.001, cache_bytes=64 << 20,
+    ).run(scenario)
     row("autopilot 2..4", cluster)
     for decision in cluster.control_decisions[:6]:
         print(f"  {format_decision(decision)}")

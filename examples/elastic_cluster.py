@@ -11,8 +11,8 @@ Three exhibits:
      and every drain's zero-loss re-injection, straight from the
      run's `ScaleEvent` records.
   3. The real deployment — the KAGGLE model on HW-1 nodes through
-     `run_autoscaled_serving`, where a join warms ~1.5 GB of real
-     embedding tables over the fabric.
+     `build_cluster` with a scale-only `ControlPlane`, where a join
+     warms ~1.5 GB of real embedding tables over the fabric.
 """
 
 import argparse
@@ -24,7 +24,7 @@ from repro.core.online import StaticScheduler
 from repro.core.paths import ExecutionPath, PathProfile
 from repro.core.representations import RepresentationConfig
 from repro.data.queries import Query, QuerySet, arrival_times
-from repro.experiments.setup import run_autoscaled_serving, run_cluster_serving
+from repro.experiments.setup import build_cluster
 from repro.hardware.catalog import GPU_V100
 from repro.models.configs import KAGGLE
 from repro.serving.cluster import ClusterSimulator
@@ -131,14 +131,17 @@ def real_deployment(n_queries: int) -> None:
     scenario = ServingScenario.flash_crowd(
         n_queries=n_queries, qps=6_000.0, sla_s=0.010, spike_factor=3.0,
     )
-    static = run_cluster_serving(
-        KAGGLE, scenario, n_nodes=4, replication=2,
+    static = build_cluster(
+        KAGGLE, 4, replication=2, max_batch_size=8, batch_timeout_s=0.001,
+    ).run(scenario)
+    plane = ControlPlane(
+        min_nodes=2, max_nodes=4, actions=("scale",), patience=4,
+        cooldown_s=0.1,
+    )
+    cluster = build_cluster(
+        KAGGLE, 4, router="least-loaded", replication=2, controlplane=plane,
         max_batch_size=8, batch_timeout_s=0.001,
-    )
-    cluster = run_autoscaled_serving(
-        KAGGLE, scenario, min_nodes=2, max_nodes=4, replication=2,
-        max_batch_size=8, batch_timeout_s=0.001, patience=4, cooldown_s=0.1,
-    )
+    ).run(scenario)
     row("static 4 nodes", static)
     row("elastic 2..4", cluster)
     for event in cluster.scale_events[:4]:

@@ -7,8 +7,8 @@ serving kernel:
      the Figure-3 batch-size crossover — dynamic switching beats both
      static residencies on SLA violations, paying the Figure-15
      load/teardown window on the device timeline at every swap.
-  2. The real KAGGLE deployment through ``repro serve --switching``'s
-     library entry point (`run_switching_serving`): one resident
+  2. The real KAGGLE deployment that ``repro serve --switching`` runs
+     (`build_switching` on a `ServingSimulator`): one resident
      representation per device, swapped under a bursty overload.
 
 Run: ``python examples/runtime_switching.py``
@@ -21,7 +21,7 @@ from repro.core.paths import ExecutionPath, PathProfile
 from repro.core.representations import RepresentationConfig
 from repro.core.switching import SwitchController
 from repro.data.queries import Query, QuerySet, arrival_times
-from repro.experiments.setup import run_switching_serving
+from repro.experiments.setup import build_switching
 from repro.hardware.catalog import GPU_V100
 from repro.models.configs import KAGGLE
 from repro.serving.simulator import ServingSimulator
@@ -106,10 +106,13 @@ def real_model_demo():
         n_queries=24_000, qps=1200.0, sla_s=0.015, seed=3,
         amplitude=0.6, period_s=20.0,
     )
-    result, controller = run_switching_serving(
-        KAGGLE, scenario, max_batch_size=32, batch_timeout_s=0.004,
-        lo_pressure=0.4, hi_pressure=1.0, patience=10, cooldown_s=3.0,
+    scheduler, controller = build_switching(
+        KAGGLE, lo_pressure=0.4, hi_pressure=1.0, patience=10, cooldown_s=3.0,
     )
+    result = ServingSimulator(
+        scheduler, max_batch_size=32, batch_timeout_s=0.004,
+        switch_controller=controller,
+    ).run(scenario)
     print(f"  violations {result.violation_rate * 100:.1f}%  "
           f"p99 {result.p99_latency_s * 1e3:.1f} ms  "
           f"served accuracy {result.mean_accuracy:.3f}% "

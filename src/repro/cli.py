@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
              "per device, swapped as load shifts (Fig 15 overhead charged)",
     )
     serve.add_argument(
-        "--switch-cooldown", type=float, default=None, metavar="MS",
+        "--switch-cooldown", type=_non_negative_float, default=None, metavar="MS",
         help="freeze a device for this long after each switch "
              "(hysteresis; default 250 ms, requires --switching)",
     )
@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard replicas per group; >= 2 survives a node failure",
     )
     serve.add_argument(
-        "--fail-at", type=float, default=None, metavar="SECONDS",
+        "--fail-at", type=_non_negative_float, default=None, metavar="SECONDS",
         help="kill --fail-node at this simulation time (failover drill)",
     )
     serve.add_argument("--fail-node", type=int, default=0)
@@ -179,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="autoscaling ceiling (defaults to --nodes; requires --autoscale)",
     )
     serve.add_argument(
-        "--scale-cooldown", type=float, default=None, metavar="MS",
+        "--scale-cooldown", type=_non_negative_float, default=None, metavar="MS",
         help="freeze membership for this long after each scale operation "
              "(hysteresis; default 500 ms, requires --autoscale)",
     )
@@ -396,8 +396,9 @@ _SERVE_RULES = (
                                 or f.cache_policy is not None),
      "--cache-mb/--cache-policy build the cluster cache tier (--nodes > "
      "1); --switching is single-node"),
-    (lambda f: f.cache_mb is not None and f.cache_mb <= 0,
+    (lambda f: f.cache_mb is not None and not f.cache_mb > 0,
      "--cache-mb must be positive, got {cache_mb:g}"),
+    (lambda f: f.cache_mb == float("inf"), "--cache-mb must be finite"),
     (lambda f: f.cache_policy is not None and f.cache_mb is None,
      "--cache-policy requires --cache-mb (no cache to govern)"),
     (lambda f: f.router == "cache-affinity" and f.cache_mb is None,
@@ -435,9 +436,6 @@ _SERVE_RULES = (
 
 
 def cmd_serve(args) -> int:
-    from repro.experiments.setup import run_serving_comparison
-    from repro.serving.workload import ServingScenario
-
     # Pure flag checks run before the (potentially huge) workload is built.
     facts = _serve_facts(args)
     for broken, message in _SERVE_RULES:
@@ -445,259 +443,221 @@ def cmd_serve(args) -> int:
             print(f"error: {message.format_map(vars(facts))}",
                   file=sys.stderr)
             return 2
-    config = _datasets()[args.dataset]
-    if args.regions is not None:
-        return _serve_regions(args, config)
-    args.nodes = facts.n_nodes
+    sim, run_args = _serve_build(args, facts, _datasets()[args.dataset])
+    res = sim.run_streaming(*run_args) if args.streaming else sim.run(*run_args)
+    print("\n".join(_serve_report(args, facts, sim, res)))
+    return 0
+
+
+def _serve_build(args, facts, config):
+    """The one façade a ``serve`` run drives, and its ``run`` arguments."""
+    from repro.experiments.setup import (
+        build_cluster,
+        build_regions,
+        build_schedulers,
+        build_switching,
+        follow_the_sun_scenario,
+    )
+    from repro.hardware.topology import CLUSTER_LINKS
+    from repro.serving.controlplane import ControlPlane
+    from repro.serving.simulator import ServingSimulator
+    from repro.serving.workload import ServingScenario
+
+    batching = dict(
+        shed_policy=args.shed_policy, max_batch_size=args.max_batch,
+        batch_timeout_s=args.batch_timeout_ms / 1e3,
+    )
+    fleet = dict(
+        batching, router=args.router, replication=args.replication,
+        link=CLUSTER_LINKS[args.link], max_queue=args.max_queue,
+    )
+    if args.cache_mb is not None:
+        fleet.update(cache_bytes=int(args.cache_mb * 2**20),
+                     cache_policy=args.cache_policy or "lru")
+    if facts.geo:
+        scenario, region_of = follow_the_sun_scenario(
+            n_regions=args.regions, n_queries=args.queries, qps=args.qps,
+            sla_s=args.sla_ms / 1e3, seed=args.seed,
+        )
+        drill = {} if args.region_fail_at is None else dict(
+            fail_at=args.region_fail_at, fail_region=args.fail_region
+        )
+        return build_regions(
+            config, args.regions, nodes_per_region=args.nodes,
+            wan=args.wan_link or "wan-metro",
+            geo_router=args.geo_router or "spill",
+            region_replication=args.region_replication or 1,
+            scheduler=args.scheduler, **fleet, **drill,
+        ), (scenario, region_of)
     scenario = ServingScenario.with_process(
         args.arrivals, n_queries=args.queries, qps=args.qps,
         sla_s=args.sla_ms / 1e3, seed=args.seed,
     )
     if args.switching:
-        return _serve_switching(args, config, scenario)
-    if args.autopilot:
-        return _serve_autopilot(args, config, scenario, facts.ceiling)
-    if args.autoscale:
-        return _serve_autoscale(args, config, scenario, facts.ceiling)
-    if args.nodes > 1:
-        return _serve_cluster(args, config, scenario)
-    results = run_serving_comparison(
-        config, scenario, subset=(args.scheduler,),
-        shed_policy=args.shed_policy, max_batch_size=args.max_batch,
-        batch_timeout_s=args.batch_timeout_ms / 1e3,
-        streaming=args.streaming,
-        engine="fast" if args.fastpath else "event",
-    )
-    result = results[args.scheduler]
-    print(f"scheduler              : {args.scheduler}")
-    print(f"engine                 : "
-          f"{'fast (array path)' if args.fastpath else 'event kernel'}")
-    _print_headline(result)
-    for label, share in result.switching_breakdown().items():
-        print(f"  {label:16s} {share * 100:5.1f}%")
-    return 0
-
-
-def _print_headline(result) -> None:
-    """The six headline serving metrics every ``serve`` mode prints."""
-    print(f"correct predictions/s  : {result.correct_prediction_throughput:,.0f}")
-    print(f"raw samples/s          : {result.raw_throughput:,.0f}")
-    print(f"served accuracy        : {result.mean_accuracy:.3f}%")
-    print(f"SLA violations         : {result.violation_rate * 100:.2f}%")
-    print(f"shed (dropped)         : {result.drop_rate * 100:.2f}%")
-    print(f"p99 latency            : {result.p99_latency_s * 1e3:.2f} ms")
-
-
-def _cache_kwargs(args) -> dict:
-    """Cluster cache-tier kwargs from the validated CLI flags."""
-    if args.cache_mb is None:
-        return {}
-    return {
-        "cache_bytes": int(args.cache_mb * 2**20),
-        "cache_policy": args.cache_policy or "lru",
-    }
-
-
-def _print_cache(cache) -> None:
-    """The cache tier's headline counters (one block, cluster modes)."""
-    if cache is None:
-        return
-    print(f"cache hit rate         : {cache.hit_rate * 100:.2f}% "
-          f"({cache.hits}/{cache.lookups} row lookups)")
-    print(f"cache fill bytes       : {cache.fill_bytes / 1e6:.2f} MB"
-          + (f" (+{cache.warm_bytes / 1e6:.2f} MB warmed)"
-             if cache.warm_bytes else ""))
-    if cache.rewarm_bytes:
-        print(f"cache re-warm          : {cache.rewarm_bytes / 1e6:.2f} MB "
-              f"in {cache.rewarm_s * 1e3:.2f} ms (switch invalidations)")
-
-
-def _serve_switching(args, config, scenario) -> int:
-    from repro.experiments.setup import run_switching_serving
-
-    cooldown_ms = 250.0 if args.switch_cooldown is None else args.switch_cooldown
-    result, controller = run_switching_serving(
-        config, scenario, shed_policy=args.shed_policy,
-        max_batch_size=args.max_batch,
-        batch_timeout_s=args.batch_timeout_ms / 1e3,
-        streaming=args.streaming, cooldown_s=cooldown_ms / 1e3,
-    )
-    print("mode                   : runtime representation switching")
-    _print_headline(result)
-    for label, share in result.switching_breakdown().items():
-        print(f"  {label:16s} {share * 100:5.1f}%")
-    print(f"switches               : {len(controller.events)}")
-    print(f"switch overhead        : {controller.total_overhead_s * 1e3:.2f} ms")
-    for event in controller.events[:8]:
-        print(
-            f"  t={event.time_s * 1e3:8.1f} ms  {event.device}: "
-            f"{event.from_label} -> {event.to_label} "
-            f"(+{event.overhead_s * 1e3:.1f} ms)"
+        cooldown_ms = 250.0 if args.switch_cooldown is None else args.switch_cooldown
+        scheduler, controller = build_switching(
+            config, cooldown_s=cooldown_ms / 1e3
         )
-    return 0
-
-
-def _serve_autoscale(args, config, scenario, max_nodes) -> int:
-    from repro.experiments.setup import run_autoscaled_serving
-    from repro.hardware.topology import CLUSTER_LINKS
-
-    cooldown_ms = 500.0 if args.scale_cooldown is None else args.scale_cooldown
-    cluster = run_autoscaled_serving(
-        config, scenario, min_nodes=args.min_nodes, max_nodes=max_nodes,
-        scheduler=args.scheduler, router=args.router,
-        replication=args.replication, link=CLUSTER_LINKS[args.link],
-        cooldown_s=cooldown_ms / 1e3, shed_policy=args.shed_policy,
-        max_batch_size=args.max_batch,
-        batch_timeout_s=args.batch_timeout_ms / 1e3,
-        max_queue=args.max_queue, streaming=args.streaming,
-        **_cache_kwargs(args),
-    )
-    print(f"elastic cluster        : {args.min_nodes}..{max_nodes} nodes, "
-          f"{args.router} router, replication {args.replication}, {args.link}")
-    print(f"scheduler              : {args.scheduler}")
-    _print_headline(cluster.result)
-    print(f"scale ups / downs      : {cluster.scale_ups} / {cluster.scale_downs}")
-    print(f"node-seconds           : {cluster.node_seconds:.3f}")
-    print(f"handoff overhead       : {cluster.handoff_overhead_s * 1e3:.2f} ms")
-    print(f"rerouted by drains     : {cluster.rerouted}")
-    _print_cache(cluster.cache)
-    if cluster.edge_drops:
-        print(f"edge drops             : {cluster.edge_drops}")
-    for event in cluster.scale_events[:10]:
-        if event.kind == "up":
-            detail = (
-                f"warm {event.warm_bytes / 1e6:.1f} MB in "
-                f"{event.warm_s * 1e3:.2f} ms"
-            )
-            if event.cache_warm_bytes:
-                detail += f" (+{event.cache_warm_bytes / 1e6:.1f} MB cache)"
-        else:
-            detail = f"re-injected {event.reinjected}"
-            if event.cache_donated_bytes:
-                detail += (
-                    f", donated {event.cache_donated_bytes / 1e6:.1f} MB cache"
-                )
-        print(
-            f"  t={event.time_s * 1e3:8.1f} ms  {event.kind:4s} node "
-            f"{event.node_id} -> {event.n_members} members ({detail})"
+        sim = ServingSimulator(scheduler, switch_controller=controller, **batching)
+    elif args.autopilot:
+        scheduler, switcher = build_switching(config)
+        plane = ControlPlane(min_nodes=args.min_nodes, max_nodes=facts.ceiling)
+        sim = build_cluster(
+            config, facts.ceiling, scheduler, switch_controller=switcher,
+            controlplane=plane, **fleet,
         )
-    return 0
+    elif args.autoscale:
+        cooldown_ms = 500.0 if args.scale_cooldown is None else args.scale_cooldown
+        plane = ControlPlane(
+            min_nodes=args.min_nodes, max_nodes=facts.ceiling,
+            actions=("scale",), patience=8, cooldown_s=cooldown_ms / 1e3,
+        )
+        sim = build_cluster(
+            config, facts.ceiling, args.scheduler, controlplane=plane, **fleet
+        )
+    elif facts.n_nodes > 1:
+        sim = build_cluster(
+            config, facts.n_nodes, args.scheduler, fail_at=args.fail_at,
+            fail_node=args.fail_node, **fleet,
+        )
+    else:
+        sim = ServingSimulator(
+            build_schedulers(config)[args.scheduler],
+            engine="fast" if args.fastpath else "event", **batching,
+        )
+    return sim, (scenario,)
 
 
-def _serve_autopilot(args, config, scenario, max_nodes) -> int:
-    from repro.experiments.setup import run_autopilot_serving
-    from repro.hardware.topology import CLUSTER_LINKS
+def _serve_report(args, facts, sim, res) -> list[str]:
+    """A ``serve`` run's report: the mode's head, the headline, the mode's
+    body, the fleet tail (cache, failures, edge drops), the mode's trace."""
     from repro.serving.controlplane import format_decision
 
-    cluster = run_autopilot_serving(
-        config, scenario, min_nodes=args.min_nodes, max_nodes=max_nodes,
-        router=args.router, replication=args.replication,
-        link=CLUSTER_LINKS[args.link], shed_policy=args.shed_policy,
-        max_batch_size=args.max_batch,
-        batch_timeout_s=args.batch_timeout_ms / 1e3,
-        max_queue=args.max_queue, streaming=args.streaming,
-        **_cache_kwargs(args),
-    )
-    print(f"autopilot fleet        : {args.min_nodes}..{max_nodes} nodes, "
-          f"{args.router} router, replication {args.replication}, {args.link}")
-    _print_headline(cluster.result)
-    print(f"control decisions      : {len(cluster.control_decisions)}")
-    print(f"scale ups / downs      : {cluster.scale_ups} / {cluster.scale_downs}")
-    print(f"node-seconds           : {cluster.node_seconds:.3f}")
-    print(f"final router           : {cluster.router}")
-    _print_cache(cluster.cache)
-    if cluster.edge_drops:
-        print(f"edge drops             : {cluster.edge_drops}")
-    shown = 8 if args.trace_decisions is None else args.trace_decisions
-    for decision in cluster.control_decisions[:shown]:
-        print(f"  {format_decision(decision)}")
-    return 0
+    served = getattr(res, "result", res)  # a fleet result wraps its metrics
+    scheduler = f"scheduler              : {args.scheduler}"
+    shape = (f"{args.router} router, replication {args.replication}, "
+             f"{args.link}")
+    fleet = f"{args.min_nodes}..{facts.ceiling} nodes, {shape}"
+    body, trace = [], []
+    if facts.geo:
+        head = [f"geo fleet              : {args.regions} regions x "
+                f"{args.nodes} node(s), {res.router} geo-router, "
+                f"{res.wan.name}, region replication "
+                f"{res.region_replication}", scheduler]
+        body = [
+            f"spilled / re-homed     : {res.spills} / {res.rehomed}",
+            f"WAN traffic            : {res.wan_bytes / 1e6:.2f} MB "
+            f"({res.wan_cost_j:.2f} J-eq)",
+            f"total cost             : {res.total_cost_j:.2f} J-eq",
+        ] + [f"  {name:8s} violations {metrics.violation_rate * 100:6.2f}%  "
+             f"p99 {metrics.p99_latency_s * 1e3:8.2f} ms"
+             for name, metrics in zip(res.regions, res.per_region)]
+        crossed = res.cross_region
+        if crossed is not None and crossed.n:
+            body.append(f"  {'x-region':8s} violations "
+                        f"{crossed.violation_rate * 100:6.2f}%  "
+                        f"p99 {crossed.p99_latency_s * 1e3:8.2f} ms "
+                        f"({crossed.n} crossed)")
+    elif args.switching:
+        events = sim.switch_controller.events
+        head = ["mode                   : runtime representation switching"]
+        body = [
+            f"switches               : {len(events)}",
+            f"switch overhead        : "
+            f"{sim.switch_controller.total_overhead_s * 1e3:.2f} ms",
+        ] + [f"  t={event.time_s * 1e3:8.1f} ms  {event.device}: "
+             f"{event.from_label} -> {event.to_label} "
+             f"(+{event.overhead_s * 1e3:.1f} ms)" for event in events[:8]]
+    elif args.autopilot:
+        head = [f"autopilot fleet        : {fleet}"]
+        body = [
+            f"control decisions      : {len(res.control_decisions)}",
+            f"scale ups / downs      : {res.scale_ups} / {res.scale_downs}",
+            f"node-seconds           : {res.node_seconds:.3f}",
+            f"final router           : {res.router}",
+        ]
+        shown = 8 if args.trace_decisions is None else args.trace_decisions
+        trace = [f"  {format_decision(decision)}"
+                 for decision in res.control_decisions[:shown]]
+    elif args.autoscale:
+        head = [f"elastic cluster        : {fleet}", scheduler]
+        body = [
+            f"scale ups / downs      : {res.scale_ups} / {res.scale_downs}",
+            f"node-seconds           : {res.node_seconds:.3f}",
+            f"handoff overhead       : {res.handoff_overhead_s * 1e3:.2f} ms",
+            f"rerouted by drains     : {res.rerouted}",
+        ]
+        trace = [_scale_line(event) for event in res.scale_events[:10]]
+    elif facts.n_nodes > 1:
+        head = [f"cluster                : {facts.n_nodes} nodes, {shape}",
+                scheduler]
+        served_by = ", ".join(str(n) for n in res.per_node_served)
+        body = [f"per-node served        : [{served_by}]"]
+    else:
+        engine = "fast (array path)" if args.fastpath else "event kernel"
+        head = [scheduler, f"engine                 : {engine}"]
+    tail = []
+    if served is res:  # one node: the share of queries each path served
+        body = [f"  {label:16s} {share * 100:5.1f}%"
+                for label, share in res.switching_breakdown().items()] + body
+    else:
+        tail = _cache_lines(res.cache)
+        failed = ([res.regions[r] for r in res.failed_regions] if facts.geo
+                  else res.failed_nodes)
+        if failed:
+            tail += [
+                f"failed {'regions' if facts.geo else 'nodes':16s}: {failed}",
+                f"rerouted / lost        : {res.rerouted} / {res.lost}",
+                f"wasted energy          : {res.wasted_energy_j:.2f} J",
+            ]
+        if res.edge_drops:
+            tail.append(f"edge drops             : {res.edge_drops}")
+    return head + _headline(served) + body + tail + trace
 
 
-def _serve_regions(args, config) -> int:
-    from repro.experiments.setup import build_regions, follow_the_sun_scenario
-    from repro.hardware.topology import CLUSTER_LINKS
-
-    scenario, region_of = follow_the_sun_scenario(
-        n_regions=args.regions, n_queries=args.queries, qps=args.qps,
-        sla_s=args.sla_ms / 1e3, seed=args.seed,
-    )
-    geo_kwargs = {}
-    if args.region_fail_at is not None:
-        geo_kwargs.update(
-            fail_at=args.region_fail_at, fail_region=args.fail_region
-        )
-    sim = build_regions(
-        config, args.regions, nodes_per_region=args.nodes,
-        wan=args.wan_link or "wan-metro",
-        geo_router=args.geo_router or "spill",
-        region_replication=args.region_replication or 1,
-        scheduler=args.scheduler, router=args.router,
-        replication=args.replication, link=CLUSTER_LINKS[args.link],
-        shed_policy=args.shed_policy, max_batch_size=args.max_batch,
-        batch_timeout_s=args.batch_timeout_ms / 1e3,
-        max_queue=args.max_queue, **_cache_kwargs(args), **geo_kwargs,
-    )
-    res = (
-        sim.run_streaming(scenario, region_of)
-        if args.streaming else sim.run(scenario, region_of)
-    )
-    print(f"geo fleet              : {args.regions} regions x {args.nodes} "
-          f"node(s), {res.router} geo-router, {res.wan.name}, "
-          f"region replication {res.region_replication}")
-    print(f"scheduler              : {args.scheduler}")
-    _print_headline(res.result)
-    print(f"spilled / re-homed     : {res.spills} / {res.rehomed}")
-    print(f"WAN traffic            : {res.wan_bytes / 1e6:.2f} MB "
-          f"({res.wan_cost_j:.2f} J-eq)")
-    print(f"total cost             : {res.total_cost_j:.2f} J-eq")
-    for name, metrics in zip(res.regions, res.per_region):
-        print(f"  {name:8s} violations {metrics.violation_rate * 100:6.2f}%  "
-              f"p99 {metrics.p99_latency_s * 1e3:8.2f} ms")
-    if res.cross_region is not None and res.cross_region.n:
-        print(f"  {'x-region':8s} violations "
-              f"{res.cross_region.violation_rate * 100:6.2f}%  "
-              f"p99 {res.cross_region.p99_latency_s * 1e3:8.2f} ms "
-              f"({res.cross_region.n} crossed)")
-    _print_cache(res.cache)
-    if res.failed_regions:
-        names = [res.regions[r] for r in res.failed_regions]
-        print(f"failed regions         : {names}")
-        print(f"rerouted / lost        : {res.rerouted} / {res.lost}")
-        print(f"wasted energy          : {res.wasted_energy_j:.2f} J")
-    if res.edge_drops:
-        print(f"edge drops             : {res.edge_drops}")
-    return 0
+def _headline(result) -> list[str]:
+    """The six headline serving metrics every ``serve`` mode prints."""
+    return [
+        f"correct predictions/s  : {result.correct_prediction_throughput:,.0f}",
+        f"raw samples/s          : {result.raw_throughput:,.0f}",
+        f"served accuracy        : {result.mean_accuracy:.3f}%",
+        f"SLA violations         : {result.violation_rate * 100:.2f}%",
+        f"shed (dropped)         : {result.drop_rate * 100:.2f}%",
+        f"p99 latency            : {result.p99_latency_s * 1e3:.2f} ms",
+    ]
 
 
-def _serve_cluster(args, config, scenario) -> int:
-    from repro.experiments.setup import run_cluster_serving
-    from repro.hardware.topology import CLUSTER_LINKS
+def _cache_lines(cache) -> list[str]:
+    """The cache tier's headline counters (one block, cluster modes)."""
+    if cache is None:
+        return []
+    lines = [
+        f"cache hit rate         : {cache.hit_rate * 100:.2f}% "
+        f"({cache.hits}/{cache.lookups} row lookups)",
+        f"cache fill bytes       : {cache.fill_bytes / 1e6:.2f} MB"
+        + (f" (+{cache.warm_bytes / 1e6:.2f} MB warmed)"
+           if cache.warm_bytes else ""),
+    ]
+    if cache.rewarm_bytes:
+        lines.append(f"cache re-warm          : {cache.rewarm_bytes / 1e6:.2f}"
+                     f" MB in {cache.rewarm_s * 1e3:.2f} ms (switch "
+                     "invalidations)")
+    return lines
 
-    cluster = run_cluster_serving(
-        config, scenario, n_nodes=args.nodes, scheduler=args.scheduler,
-        router=args.router, replication=args.replication,
-        link=CLUSTER_LINKS[args.link], shed_policy=args.shed_policy,
-        max_batch_size=args.max_batch,
-        batch_timeout_s=args.batch_timeout_ms / 1e3,
-        max_queue=args.max_queue, fail_at=args.fail_at,
-        fail_node=args.fail_node, streaming=args.streaming,
-        **_cache_kwargs(args),
-    )
-    print(f"cluster                : {args.nodes} nodes, {args.router} router, "
-          f"replication {args.replication}, {args.link}")
-    print(f"scheduler              : {args.scheduler}")
-    _print_headline(cluster.result)
-    served = ", ".join(str(n) for n in cluster.per_node_served)
-    print(f"per-node served        : [{served}]")
-    _print_cache(cluster.cache)
-    if cluster.failed_nodes:
-        print(f"failed nodes           : {cluster.failed_nodes}")
-        print(f"rerouted / lost        : {cluster.rerouted} / {cluster.lost}")
-        print(f"wasted energy          : {cluster.wasted_energy_j:.2f} J")
-    if cluster.edge_drops:
-        print(f"edge drops             : {cluster.edge_drops}")
-    return 0
+
+def _scale_line(event) -> str:
+    """One scale event of the autoscale trace."""
+    if event.kind == "up":
+        detail = (f"warm {event.warm_bytes / 1e6:.1f} MB in "
+                  f"{event.warm_s * 1e3:.2f} ms")
+        if event.cache_warm_bytes:
+            detail += f" (+{event.cache_warm_bytes / 1e6:.1f} MB cache)"
+    else:
+        detail = f"re-injected {event.reinjected}"
+        if event.cache_donated_bytes:
+            detail += f", donated {event.cache_donated_bytes / 1e6:.1f} MB cache"
+    return (f"  t={event.time_s * 1e3:8.1f} ms  {event.kind:4s} node "
+            f"{event.node_id} -> {event.n_members} members ({detail})")
 
 
 def cmd_characterize(args) -> int:

@@ -31,18 +31,15 @@ from repro.core.switching import SwitchController
 from repro.hardware.catalog import CPU_BROADWELL, GPU_V100
 from repro.hardware.device import GB, MB, DeviceSpec
 from repro.hardware.latency import PriceModel
-from repro.hardware.topology import ETHERNET_100G, LinkSpec
 from repro.models.configs import KAGGLE, TERABYTE, ModelConfig
 from repro.quality.estimator import QualityEstimator
 import numpy as np
 
 from repro.data.queries import generate_query_arrays, merge_query_arrays
-from repro.serving.cluster import ClusterResult, ClusterSimulator
-from repro.serving.region import GeoRouter, RegionResult, RegionSimulator
+from repro.serving.cluster import ClusterSimulator
+from repro.serving.region import GeoRouter, RegionSimulator
 from repro.serving.wan import WanLink
-from repro.serving.controlplane import ACTION_CLASSES, ControlPlane
 from repro.serving.metrics import ServingResult
-from repro.serving.routing import Router
 from repro.serving.simulator import ServingSimulator
 from repro.serving.workload import ServingScenario
 
@@ -303,249 +300,52 @@ def run_serving_comparison(
     return results
 
 
-def run_switching_serving(
-    model: ModelConfig,
-    scenario: ServingScenario | None = None,
-    devices: list[DeviceSpec] | None = None,
-    shed_policy: str = "none",
-    max_batch_size: int = 1,
-    batch_timeout_s: float = 0.0,
-    streaming: bool = False,
-    **switching_kwargs,
-):
-    """Run one scenario through the runtime-switching deployment.
-
-    Returns ``(result, controller)`` — the controller's ``events`` carry
-    the run's residency trace. ``switching_kwargs`` forward to
-    :func:`build_switching` (``cooldown_s``, ``patience``, thresholds...).
-    """
-    scenario = scenario or ServingScenario.paper_default()
-    scheduler, controller = build_switching(
-        model, devices, **switching_kwargs
-    )
-    sim = ServingSimulator(
-        scheduler, shed_policy=shed_policy, max_batch_size=max_batch_size,
-        batch_timeout_s=batch_timeout_s, switch_controller=controller,
-    )
-    result = sim.run_streaming(scenario) if streaming else sim.run(scenario)
-    return result, controller
-
-
 def build_cluster(
     model: ModelConfig,
     n_nodes: int,
-    scheduler: str = "mp-rec",
-    router: str | Router = "round-robin",
-    replication: int = 1,
-    link: LinkSpec = ETHERNET_100G,
+    scheduler: str | Scheduler = "mp-rec",
     devices: list[DeviceSpec] | None = None,
     with_cache: bool = True,
-    cache_bytes: int = 0,
-    cache_policy: str = "lru",
     **cluster_kwargs,
 ) -> ClusterSimulator:
-    """Assemble a serving cluster: every node runs the named scheduler's
-    paths on its own HW-1 replica, and the model's tables are greedy-LPT
-    sharded (:func:`~repro.analysis.sharding.greedy_shard`) across nodes.
+    """Assemble a serving cluster: every node runs ``scheduler``'s paths on
+    its own HW-1 replica, and the model's tables are greedy-LPT sharded
+    (:func:`~repro.analysis.sharding.greedy_shard`) across ``n_nodes``.
 
-    ``cache_bytes`` / ``cache_policy`` size the per-node MP-Cache tier
-    (:mod:`repro.serving.cache`; 0 = off) — ``with_cache`` is the older,
-    unrelated knob for the *single-node* analytic MP-Cache effect baked
-    into each path's latency model.  ``cluster_kwargs`` forward to
-    :class:`~repro.serving.cluster.ClusterSimulator` (``shed_policy``,
-    ``max_batch_size``, ``max_queue``, ``fail_at``, ``fail_node``,
-    ``hot_fraction``, ``cache_alpha``, ``cache_hot_rows``, ...).
+    ``scheduler`` is a :func:`build_schedulers` name (built on
+    ``devices`` with ``with_cache``, the single-node analytic MP-Cache
+    effect baked into each path's latency model) or a scheduler object,
+    e.g. the first of :func:`build_switching`'s pair, which every node
+    shares.  ``cluster_kwargs`` forward to
+    :class:`~repro.serving.cluster.ClusterSimulator` (``router``,
+    ``replication``, ``link``, ``cache_bytes`` / ``cache_policy`` for
+    the per-node MP-Cache tier, ``shed_policy``, ``max_batch_size``,
+    ``max_queue``, ``fail_at``, ``fail_node``, ``switch_controller``,
+    ``controlplane``, ...).  An elastic fleet passes a
+    :class:`~repro.serving.controlplane.ControlPlane` and sizes
+    ``n_nodes`` for its ``max_nodes`` ceiling.
     """
-    return _assemble_cluster(
-        model, build_schedulers(model, devices, with_cache=with_cache),
-        n_nodes, scheduler, router=router, replication=replication,
-        link=link, cache_bytes=cache_bytes, cache_policy=cache_policy,
-        **cluster_kwargs,
-    )
+    scheduler = _scheduler(model, scheduler, devices, with_cache)
+    plan = greedy_shard(model.cardinalities, model.embedding_dim, n_nodes)
+    return ClusterSimulator(scheduler, plan, **cluster_kwargs)
 
 
-def _assemble_cluster(
+def _scheduler(
     model: ModelConfig,
-    schedulers: dict[str, Scheduler],
-    n_nodes: int,
-    scheduler: str = "mp-rec",
-    **cluster_kwargs,
-) -> ClusterSimulator:
-    """A cluster running ``schedulers[scheduler]`` on every node over the
-    model's greedy-LPT sharding plan; the scheduler object is shared, as
-    :class:`~repro.serving.cluster.ClusterSimulator` shares it across
-    its nodes."""
+    scheduler: str | Scheduler,
+    devices: list[DeviceSpec] | None,
+    with_cache: bool,
+) -> Scheduler:
+    """``scheduler`` itself, or the :func:`build_schedulers` contender it
+    names (the set is built only for a name)."""
+    if not isinstance(scheduler, str):
+        return scheduler
+    schedulers = build_schedulers(model, devices, with_cache=with_cache)
     if scheduler not in schedulers:
         raise ValueError(
             f"unknown scheduler {scheduler!r}; have {sorted(schedulers)}"
         )
-    plan = greedy_shard(model.cardinalities, model.embedding_dim, n_nodes)
-    return ClusterSimulator(schedulers[scheduler], plan, **cluster_kwargs)
-
-
-def run_cluster_serving(
-    model: ModelConfig,
-    scenario: ServingScenario | None = None,
-    n_nodes: int = 2,
-    scheduler: str = "mp-rec",
-    router: str | Router = "round-robin",
-    replication: int = 1,
-    streaming: bool = False,
-    **kwargs,
-) -> ClusterResult:
-    """Run one scenario through a multi-node cluster; the cluster analogue
-    of :func:`run_serving_comparison` for a single scheduler."""
-    scenario = scenario or ServingScenario.paper_default()
-    cluster = build_cluster(
-        model, n_nodes, scheduler=scheduler, router=router,
-        replication=replication, **kwargs,
-    )
-    return cluster.run_streaming(scenario) if streaming else cluster.run(scenario)
-
-
-def build_autoscaled_cluster(
-    model: ModelConfig,
-    min_nodes: int,
-    max_nodes: int,
-    scheduler: str = "mp-rec",
-    router: str | Router = "least-loaded",
-    replication: int = 1,
-    link: LinkSpec = ETHERNET_100G,
-    devices: list[DeviceSpec] | None = None,
-    with_cache: bool = True,
-    initial_nodes: int | None = None,
-    hi_pressure: float = 0.75,
-    lo_pressure: float = 0.25,
-    patience: int = 8,
-    patience_down: int = 32,
-    cooldown_s: float = 0.5,
-    **cluster_kwargs,
-) -> ClusterSimulator:
-    """Assemble an *elastic* serving cluster: the sharding plan is sized
-    for the ``max_nodes`` ceiling, membership starts at ``initial_nodes``
-    (default ``min_nodes``), and a :class:`~repro.serving.controlplane.
-    ControlPlane` with only its ``"scale"`` action enabled adds or drains
-    nodes as the fleet's pressure signals say — joins warm their shard
-    slice over ``link``, drains hand queued queries back through the
-    failover path (zero-loss).
-
-    ``cluster_kwargs`` forward through :func:`build_cluster`
-    (``shed_policy``, ``max_batch_size``, ``batch_timeout_s``,
-    ``max_queue``, ``hot_fraction``, ``cache_bytes``, ``cache_policy``,
-    ...) — with the cache tier on, joins warm their cache alongside the
-    shard slice and drains donate their hot set.
-    """
-    plane = ControlPlane(
-        min_nodes=min_nodes,
-        max_nodes=max_nodes,
-        initial_nodes=initial_nodes,
-        actions=("scale",),
-        hi_pressure=hi_pressure,
-        lo_pressure=lo_pressure,
-        patience=patience,
-        patience_down=patience_down,
-        cooldown_s=cooldown_s,
-    )
-    return build_cluster(
-        model, max_nodes, scheduler=scheduler, router=router,
-        replication=replication, link=link, devices=devices,
-        with_cache=with_cache, controlplane=plane, **cluster_kwargs,
-    )
-
-
-def build_autopilot_cluster(
-    model: ModelConfig,
-    min_nodes: int,
-    max_nodes: int,
-    router: str | Router = "least-loaded",
-    replication: int = 1,
-    link: LinkSpec = ETHERNET_100G,
-    devices: list[DeviceSpec] | None = None,
-    with_cache: bool = True,
-    initial: str = "table",
-    actions: tuple = ACTION_CLASSES,
-    initial_nodes: int | None = None,
-    hi_pressure: float = 0.75,
-    lo_pressure: float = 0.25,
-    patience: int = 4,
-    patience_down: int = 32,
-    cooldown_s: float = 0.25,
-    horizon_s: float = 2.0,
-    node_cost_w: float = 1.0,
-    **cluster_kwargs,
-) -> ClusterSimulator:
-    """Assemble the *autopilot* fleet: every node runs the runtime-
-    switching deployment (:func:`build_switching` — one resident
-    representation per device, the offline plan's others as swap
-    candidates), the plan is sized for the ``max_nodes`` ceiling, and a
-    single :class:`~repro.serving.controlplane.ControlPlane` arbitrates
-    representation switches, membership changes, cache re-warms, and
-    router swaps against one cost function (docs/controlplane.md).
-
-    ``actions`` selects the enabled action classes (default: all four);
-    ``cluster_kwargs`` forward to :class:`~repro.serving.cluster.
-    ClusterSimulator` (``shed_policy``, ``max_batch_size``,
-    ``batch_timeout_s``, ``max_queue``, ``hot_fraction``,
-    ``cache_bytes``, ``cache_policy``, ...) — with the cache tier on,
-    re-warm and cache-affinity re-routing become live candidates.
-    """
-    scheduler, switcher = build_switching(
-        model, devices, with_cache=with_cache, initial=initial
-    )
-    plane = ControlPlane(
-        min_nodes=min_nodes,
-        max_nodes=max_nodes,
-        initial_nodes=initial_nodes,
-        actions=actions,
-        hi_pressure=hi_pressure,
-        lo_pressure=lo_pressure,
-        patience=patience,
-        patience_down=patience_down,
-        cooldown_s=cooldown_s,
-        horizon_s=horizon_s,
-        node_cost_w=node_cost_w,
-    )
-    plan = greedy_shard(model.cardinalities, model.embedding_dim, max_nodes)
-    return ClusterSimulator(
-        scheduler, plan, router=router, replication=replication, link=link,
-        switch_controller=switcher, controlplane=plane, **cluster_kwargs,
-    )
-
-
-def run_autopilot_serving(
-    model: ModelConfig,
-    scenario: ServingScenario | None = None,
-    min_nodes: int = 1,
-    max_nodes: int = 4,
-    streaming: bool = False,
-    **kwargs,
-) -> ClusterResult:
-    """Run one scenario under the unified autopilot; the control-plane
-    analogue of :func:`run_autoscaled_serving`.  The returned
-    :class:`~repro.serving.cluster.ClusterResult` carries the full
-    decision trace (``control_decisions`` — every committed action with
-    the predicted costs of everything it rejected) alongside the scaling
-    trace and fleet accounting."""
-    scenario = scenario or ServingScenario.paper_default()
-    cluster = build_autopilot_cluster(model, min_nodes, max_nodes, **kwargs)
-    return cluster.run_streaming(scenario) if streaming else cluster.run(scenario)
-
-
-def run_autoscaled_serving(
-    model: ModelConfig,
-    scenario: ServingScenario | None = None,
-    min_nodes: int = 1,
-    max_nodes: int = 4,
-    streaming: bool = False,
-    **kwargs,
-) -> ClusterResult:
-    """Run one scenario through an elastic cluster; the autoscaling
-    analogue of :func:`run_cluster_serving`.  The returned
-    :class:`~repro.serving.cluster.ClusterResult` carries the scaling
-    trace (``scale_events``), ``node_seconds``, and handoff overhead."""
-    scenario = scenario or ServingScenario.paper_default()
-    cluster = build_autoscaled_cluster(model, min_nodes, max_nodes, **kwargs)
-    return cluster.run_streaming(scenario) if streaming else cluster.run(scenario)
+    return schedulers[scheduler]
 
 
 def follow_the_sun_scenario(
@@ -621,15 +421,15 @@ def build_regions(
         "region_cache_bytes",
     )
     region_kwargs = {k: kwargs.pop(k) for k in region_keys if k in kwargs}
-    schedulers = build_schedulers(
-        model, kwargs.pop("devices", None),
-        with_cache=kwargs.pop("with_cache", True),
+    scheduler = _scheduler(
+        model, kwargs.pop("scheduler", "mp-rec"), kwargs.pop("devices", None),
+        kwargs.pop("with_cache", True),
     )
     regions = [
         (
             region_names[i],
-            _assemble_cluster(
-                model, schedulers, nodes_per_region,
+            build_cluster(
+                model, nodes_per_region, scheduler,
                 node_base=i * nodes_per_region, **kwargs,
             ),
         )
@@ -639,31 +439,3 @@ def build_regions(
         regions, wan=wan, geo_router=geo_router,
         region_replication=region_replication, **region_kwargs,
     )
-
-
-def run_geo_serving(
-    model: ModelConfig,
-    n_regions: int = 3,
-    nodes_per_region: int = 1,
-    scenario: ServingScenario | None = None,
-    region_of: np.ndarray | None = None,
-    streaming: bool = False,
-    seed: int = 0,
-    **kwargs,
-) -> RegionResult:
-    """Run a follow-the-sun day through a geo fleet; the region-tier
-    analogue of :func:`run_cluster_serving`.  Builds the default
-    :func:`follow_the_sun_scenario` (keyed to ``n_regions`` and
-    ``seed``) unless a scenario + home array pair is passed."""
-    if (scenario is None) != (region_of is None):
-        raise ValueError("scenario and region_of go together")
-    if scenario is None:
-        scenario, region_of = follow_the_sun_scenario(
-            n_regions=n_regions, seed=seed
-        )
-    sim = build_regions(
-        model, n_regions, nodes_per_region=nodes_per_region, **kwargs
-    )
-    if streaming:
-        return sim.run_streaming(scenario, region_of)
-    return sim.run(scenario, region_of)

@@ -711,14 +711,13 @@ class ClusterSimulator:
             ledger.activate(node, now)
             cluster.scale_ups += 1
             cluster.handoff_overhead_s += join["warm_s"]
-            event = ScaleEvent(
+            cluster.scale_events.append(ScaleEvent(
                 time_s=join["decided_s"], ready_s=now, kind="up",
                 node_id=node, n_members=len(state.members),
                 warm_bytes=join["warm_bytes"], warm_s=join["warm_s"],
                 cache_warm_bytes=join["cache_warm_bytes"],
-            )
-            cluster.scale_events.append(event)
-            plane.on_scale_complete(now, event)
+            ))
+            plane.on_scale_complete(now)
 
         def scale_down(now, loop):
             node = state.members.pop()
@@ -748,13 +747,12 @@ class ClusterSimulator:
             )
             ledger.retire(node, max(now, busy_until))
             cluster.scale_downs += 1
-            event = ScaleEvent(
+            cluster.scale_events.append(ScaleEvent(
                 time_s=now, ready_s=now, kind="down", node_id=node,
                 n_members=len(state.members), reinjected=len(handed_back),
                 cache_donated_bytes=donated_bytes,
-            )
-            cluster.scale_events.append(event)
-            plane.on_scale_complete(now, event)
+            ))
+            plane.on_scale_complete(now)
 
         def admit(query, now, loop):
             return ledger.admit(query, now, state)

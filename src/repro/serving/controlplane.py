@@ -72,7 +72,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from repro.serving.autoscale import ScaleEvent
 from repro.serving.signals import (
     Hysteresis,
     queue_pressure,
@@ -223,7 +222,6 @@ class ControlPlane:
     node_cost_w: float = 1.0
     schedule: tuple = ()
 
-    events: list[ScaleEvent] = field(default_factory=list, init=False)
     decisions: list[ControlDecision] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
@@ -282,7 +280,6 @@ class ControlPlane:
         self._demand_fast = 0.0
         self._demand_slow = 0.0
         self._demand_t = None
-        self.events = []
         self.decisions = []
 
     # ---- the arbiter -----------------------------------------------------
@@ -725,10 +722,9 @@ class ControlPlane:
         arbitration until it completes, as a priced one would."""
         self._hysteresis.begin(_FLEET)
 
-    def on_scale_complete(self, now: float, event: ScaleEvent) -> None:
-        """A membership change's handoff finished: record it, reset the
-        evidence, arm the shared cooldown."""
-        self.events.append(event)
+    def on_scale_complete(self, now: float) -> None:
+        """A membership change's handoff finished: reset the evidence and
+        arm the shared cooldown (the cluster records its ``ScaleEvent``)."""
         self._hysteresis.complete(_FLEET, now, self.cooldown_s)
 
     def on_switch_complete(self, core, device: str, now: float) -> None:
@@ -741,8 +737,3 @@ class ControlPlane:
             return
         self._inflight_switches = 0
         self._hysteresis.complete(_FLEET, now, self.cooldown_s)
-
-    @property
-    def total_warm_s(self) -> float:
-        """Device time blocked by scale-up warm windows across the run."""
-        return sum(e.warm_s for e in self.events)

@@ -85,6 +85,7 @@ REJECTIONS = (
      ["--switching", "--scheduler", "table-cpu"]),
     ("--switching with the cache tier", ["--switching", "--cache-mb", "8"]),
     ("non-positive --cache-mb", ["--nodes", "2", "--cache-mb", "0"]),
+    ("infinite --cache-mb", ["--nodes", "2", "--cache-mb", "inf"]),
     ("--cache-policy without --cache-mb",
      ["--nodes", "2", "--cache-policy", "lru"]),
     ("cache-affinity without --cache-mb",

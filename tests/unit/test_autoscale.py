@@ -12,7 +12,7 @@ from repro.core.online import StaticScheduler
 from repro.data.queries import Query, QuerySet
 from repro.hardware.catalog import CPU_BROADWELL
 from repro.hardware.topology import ETHERNET_100G
-from repro.serving.autoscale import ScaleEvent, shard_slice_bytes
+from repro.serving.autoscale import shard_slice_bytes
 from repro.serving.cluster import ClusterSimulator
 from repro.serving.controlplane import AutopilotOps, ControlPlane
 from repro.serving.engine import ControlTick
@@ -191,9 +191,7 @@ class TestControllerDecision:
         assert self.tick(plane, hot, hot) == "up"
         # In progress: frozen.
         assert self.tick(plane, hot, hot) is None
-        plane.on_scale_complete(
-            self.now, ScaleEvent(self.now, self.now, "up", 2, 3)
-        )
+        plane.on_scale_complete(self.now)
         # Cooldown (1 s): still frozen...
         for _ in range(5):
             assert self.tick(plane, hot, hot) is None
@@ -208,15 +206,13 @@ class TestControllerDecision:
         hot = 0.9 * SLA_S
         for _ in range(3):
             self.tick(plane, hot, hot)
-        plane.on_scale_complete(
-            self.now, ScaleEvent(self.now, self.now, "up", 2, 3)
-        )
-        assert plane.decisions and plane.events
+        plane.on_scale_complete(self.now)
+        assert plane.decisions
         clone = plane.clone()
         for f in dataclasses.fields(ControlPlane):
             if f.init:
                 assert getattr(clone, f.name) == getattr(plane, f.name)
-        assert clone.events == [] and clone.decisions == []
+        assert clone.decisions == []
         assert clone._ops is None and clone._demand_t is None
         assert clone._demand_fast == clone._demand_slow == 0.0
         assert clone._inflight_switches == 0

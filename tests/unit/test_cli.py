@@ -45,6 +45,18 @@ class TestParser:
             ["serve", "--batch-timeout-ms", "0"]
         ).batch_timeout_ms == 0.0
 
+    def test_serve_drill_time_and_cooldowns_must_be_non_negative(
+        self, capsys
+    ):
+        # NaN and negative values stop at parse time, not in a
+        # constructor's traceback; inf stays legal and means "never".
+        for flag in ("--fail-at", "--switch-cooldown", "--scale-cooldown"):
+            self.reject(capsys, flag, "nan")
+            self.reject(capsys, flag, "-1")
+            dest = flag[2:].replace("-", "_")
+            args = build_parser().parse_args(["serve", flag, "inf"])
+            assert getattr(args, dest) == float("inf")
+
 
 class TestCommands:
     def test_train(self, capsys):

@@ -5,8 +5,8 @@ import pytest
 from repro.analysis.sharding import greedy_shard
 from repro.experiments.setup import (
     build_cluster,
+    build_regions,
     build_schedulers,
-    run_cluster_serving,
 )
 from repro.hardware.topology import ETHERNET_25G
 from repro.models.configs import KAGGLE
@@ -285,14 +285,15 @@ class TestValidation:
     def test_build_cluster_rejects_unknown_scheduler(self):
         with pytest.raises(ValueError, match="unknown scheduler"):
             build_cluster(KAGGLE, 2, scheduler="nope")
+        with pytest.raises(ValueError, match="unknown scheduler"):
+            build_regions(KAGGLE, 2, scheduler="nope")
 
 
 class TestExperimentsEntryPoint:
-    def test_run_cluster_serving(self):
-        result = run_cluster_serving(
-            KAGGLE, _scenario(n_queries=200), n_nodes=2, router="locality",
-            replication=2, max_batch_size=8,
-        )
+    def test_build_cluster_then_run(self):
+        result = build_cluster(
+            KAGGLE, 2, router="locality", replication=2, max_batch_size=8,
+        ).run(_scenario(n_queries=200))
         assert result.n_nodes == 2
         assert result.router == "locality"
         assert len(result.result.records) == 200

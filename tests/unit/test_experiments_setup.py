@@ -1,11 +1,13 @@
 import pytest
 
 from repro.core.mp_cache import CacheEffect
+from repro.experiments import setup
 from repro.core.representations import paper_configs
 from repro.data.zipf import ZipfSampler
 from repro.experiments.setup import (
     HW1,
     HW2,
+    build_cluster,
     build_plan,
     build_regions,
     build_schedulers,
@@ -106,6 +108,26 @@ class TestSetupCost:
             for sched in cluster.schedulers
         }
         assert len(schedulers) == 1
+
+    def test_scheduler_set_built_once_per_fleet_and_never_for_an_object(
+        self, monkeypatch
+    ):
+        sched = build_schedulers(KAGGLE)["table-gpu"]
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build_schedulers(*args, **kwargs)
+
+        monkeypatch.setattr(setup, "build_schedulers", counted)
+        build_regions(KAGGLE, 3, nodes_per_region=2)
+        assert len(calls) == 1
+        calls.clear()
+        cluster = build_cluster(KAGGLE, 2, sched)
+        assert calls == []
+        assert all(node is sched for node in cluster.schedulers)
+        build_cluster(KAGGLE, 2)
+        assert len(calls) == 1
 
     def test_distinct_reps_priced_as_default_cache_effect(self):
         for path in build_schedulers(KAGGLE)["mp-rec"].paths:

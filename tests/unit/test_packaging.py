@@ -1,11 +1,14 @@
-"""The package stands on its own: every module imports first, and the
-setup script carries the package's name and version."""
+"""The package stands on its own: every module imports first, the setup
+script carries the package's name and version, and the docs' import
+lines name what the package exports."""
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -57,3 +60,39 @@ def test_setup_script_names_the_package():
     pytest.importorskip("setuptools")
     out = _run(["setup.py", "--name", "--version"], cwd=ROOT).stdout.split()
     assert out[-2:] == ["repro", repro.__version__]
+
+
+_PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.M | re.S)
+_FROM_REPRO = re.compile(r"^from repro[\w.]* import (?:\([^)]*\)|.*)$", re.M)
+
+
+def _repro_imports(block: str) -> list[ast.ImportFrom]:
+    """A code block's ``from repro... import ...`` statements.  A block
+    that does not parse (a sketch) contributes its ``from repro`` lines."""
+    try:
+        tree = ast.parse(block)
+    except SyntaxError:
+        tree = ast.parse("\n".join(_FROM_REPRO.findall(block)))
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 0
+        and node.module.split(".")[0] == "repro"
+    ]
+
+
+def test_docs_import_lines_resolve():
+    docs = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
+    blocks = [
+        (doc.name, block)
+        for doc in docs for block in _PYTHON_BLOCK.findall(doc.read_text())
+    ]
+    assert len(blocks) >= 8  # the scan found the docs' python blocks
+    failed = {}
+    for name, block in blocks:
+        for node in _repro_imports(block):
+            statement = ast.unparse(node)
+            try:
+                exec(statement, {})
+            except ImportError as exc:
+                failed[f"{name}: {statement}"] = str(exc)
+    assert failed == {}
