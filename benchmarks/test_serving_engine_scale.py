@@ -21,14 +21,17 @@ the ratio is stable where absolute wall-clock is not).
 
 import gc
 import time
+from collections import Counter
 
 import pytest
 
 from conftest import fmt_row
 
+from repro.core.online import Scheduler
 from repro.data.queries import generate_query_arrays
 from repro.experiments.setup import build_schedulers
 from repro.models.configs import KAGGLE
+from repro.serving.engine import EngineCore
 from repro.serving.fastpath import serve_arrays
 from repro.serving.simulator import ReferenceSimulator, ServingSimulator
 from repro.serving.workload import ServingScenario
@@ -251,3 +254,42 @@ def test_fastpath_production_day(benchmark, record, scheduler, t_reference):
     assert 0.0 < metrics.drop_rate < 0.05
     # Every query is accounted: served + shed == generated.
     assert metrics.n == DAY_QUERIES
+
+
+def test_engine_scale_counted_work(monkeypatch):
+    """The counted twin of the kernel's wall-clock floor, on the module's
+    shape at 20,000 queries: the reference loop routes every query
+    through ``select``, the kernel routes once per dispatched batch, and
+    the reference evaluates at least ``KERNEL_SPEEDUP_FLOOR`` times as
+    many candidate paths (``_decision`` calls) as the kernel."""
+    n_queries = 20_000
+    scenario = ServingScenario.paper_default(
+        n_queries=n_queries, qps=QPS, seed=7
+    )
+    scheduler = build_schedulers(KAGGLE)["mp-rec"]
+    calls = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(Scheduler, "select")
+    count(Scheduler, "_decision")
+    ReferenceSimulator(scheduler, track_energy=False).run(scenario)
+    reference = calls.copy()
+    calls.clear()
+    count(EngineCore, "dispatch")
+    count(Scheduler, "select_batch")
+    ServingSimulator(scheduler, track_energy=False, **BATCH_KWARGS).run(
+        scenario
+    )
+    assert reference["select"] == n_queries
+    assert 0 < calls["select_batch"] == calls["dispatch"]
+    assert reference["_decision"] >= (
+        KERNEL_SPEEDUP_FLOOR * calls["_decision"]
+    )

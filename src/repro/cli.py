@@ -399,6 +399,8 @@ _SERVE_RULES = (
     (lambda f: f.cache_mb is not None and not f.cache_mb > 0,
      "--cache-mb must be positive, got {cache_mb:g}"),
     (lambda f: f.cache_mb == float("inf"), "--cache-mb must be finite"),
+    (lambda f: f.cache_mb is not None and int(f.cache_mb * 2**20) < 1,
+     "--cache-mb must hold at least one byte, got {cache_mb:g}"),
     (lambda f: f.cache_policy is not None and f.cache_mb is None,
      "--cache-policy requires --cache-mb (no cache to govern)"),
     (lambda f: f.router == "cache-affinity" and f.cache_mb is None,

@@ -7,6 +7,11 @@ the candidate's device. Preference order: hybrid, then DHE, then table; if
 nothing meets the SLA the scheduler defaults to the fastest table path so
 throughput is preserved (Section 4.2).
 
+That rule is written once, in :meth:`Scheduler.select`, and read through
+three settings (``preference``, ``_last_resort``, ``_queue_blind``); the
+static, table-switching and greedy baselines are degenerate settings of
+it, and the fast path (:mod:`repro.serving.fastpath`) compiles them.
+
 The serving kernel (:mod:`repro.serving.engine`, behind
 :class:`~repro.serving.simulator.ServingSimulator` and the cluster) calls
 :meth:`Scheduler.select_batch` once per coalesced micro-batch — the
@@ -46,9 +51,14 @@ class Decision:
 
 
 class Scheduler:
-    """Interface: map (query size, SLA, device queue state) -> a path."""
+    """Map (query size, SLA, device queue state) -> a path by one rule."""
 
     name = "scheduler"
+    # The rule's settings (see ``select``); these base values make it the
+    # greedy rule, the earliest projected finish over every path.
+    preference: tuple[str, ...] = ()
+    _last_resort: str | None = None
+    _queue_blind = False
 
     def __init__(self, paths: list[ExecutionPath]) -> None:
         if not paths:
@@ -59,8 +69,35 @@ class Scheduler:
         self, query_size: int, sla_s: float, now: float, free_at: dict[str, list[float]]
     ) -> Decision:
         """Route one query (or one coalesced batch of ``query_size``
-        samples) given the devices' current queue state."""
-        raise NotImplementedError
+        samples) given the devices' current queue state.
+
+        For each kind in ``preference``, the most accurate path of that
+        kind whose projected finish (queue wait + service) fits the SLA.
+        When none fits, the earliest-finishing path of the
+        ``_last_resort`` kind (of every path when none is of that kind),
+        or the one with the lowest service time when ``_queue_blind``."""
+        for kind in self.preference:
+            candidates = [p for p in self.paths if p.kind == kind]
+            feasible = [
+                d
+                for d in (
+                    self._decision(p, query_size, now, free_at) for p in candidates
+                )
+                if d.finish_after_arrival_s <= sla_s
+            ]
+            if feasible:
+                # Highest accuracy first, earliest finish as tie-break.
+                return max(
+                    feasible,
+                    key=lambda d: (d.path.accuracy, -d.finish_after_arrival_s),
+                )
+        # Nothing meets the SLA: preserve throughput with the fastest
+        # last-resort path.
+        last = [p for p in self.paths if p.kind == self._last_resort] or self.paths
+        decisions = [self._decision(p, query_size, now, free_at) for p in last]
+        if self._queue_blind:
+            return min(decisions, key=lambda d: d.service_s)
+        return min(decisions, key=lambda d: d.finish_after_arrival_s)
 
     # ---- event-engine hooks ---------------------------------------------
 
@@ -121,9 +158,11 @@ class Scheduler:
 
 
 class MultiPathScheduler(Scheduler):
-    """Algorithm 2 with queue-aware feasibility."""
+    """Algorithm 2 with queue-aware feasibility: the representation kinds
+    in ``preference`` order, then the earliest-finishing table path."""
 
     name = "mp-rec"
+    _last_resort = "table"
 
     def __init__(
         self,
@@ -133,36 +172,10 @@ class MultiPathScheduler(Scheduler):
         super().__init__(paths)
         self.preference = preference
 
-    def select(
-        self, query_size: int, sla_s: float, now: float, free_at: dict[str, list[float]]
-    ) -> Decision:
-        """The most-preferred representation kind whose projected finish
-        (queue wait + service) fits the SLA; ultimate fallback is the
-        earliest-finishing path."""
-        for kind in self.preference:
-            candidates = [p for p in self.paths if p.kind == kind]
-            feasible = [
-                d
-                for d in (
-                    self._decision(p, query_size, now, free_at) for p in candidates
-                )
-                if d.finish_after_arrival_s <= sla_s
-            ]
-            if feasible:
-                # Highest accuracy first, earliest finish as tie-break.
-                return max(
-                    feasible,
-                    key=lambda d: (d.path.accuracy, -d.finish_after_arrival_s),
-                )
-        # Nothing meets the SLA: preserve throughput with the fastest table
-        # path (or fastest overall if no table path exists).
-        tables = [p for p in self.paths if p.kind == "table"] or self.paths
-        decisions = [self._decision(p, query_size, now, free_at) for p in tables]
-        return min(decisions, key=lambda d: d.finish_after_arrival_s)
-
 
 class StaticScheduler(Scheduler):
-    """Baseline: one fixed representation-hardware deployment."""
+    """Baseline: one fixed representation-hardware deployment, which the
+    base (greedy) settings route to whatever the queue says."""
 
     name = "static"
 
@@ -171,12 +184,6 @@ class StaticScheduler(Scheduler):
         if len(paths) != 1:
             raise ValueError("static deployment has exactly one path")
         self.name = f"static-{paths[0].label}"
-
-    def select(
-        self, query_size: int, sla_s: float, now: float, free_at: dict[str, list[float]]
-    ) -> Decision:
-        """The deployment's only path, whatever the queue says."""
-        return self._decision(self.paths[0], query_size, now, free_at)
 
 
 class TableSwitchScheduler(Scheduler):
@@ -189,28 +196,14 @@ class TableSwitchScheduler(Scheduler):
     """
 
     name = "table-switch"
+    _queue_blind = True
 
     def __init__(self, paths: list[ExecutionPath]) -> None:
         table_paths = [p for p in paths if p.kind == "table"]
         super().__init__(table_paths)
-
-    def select(
-        self, query_size: int, sla_s: float, now: float, free_at: dict[str, list[float]]
-    ) -> Decision:
-        """The platform with the lowest profiled service latency for this
-        query size — queue-blind by design."""
-        decisions = [self._decision(p, query_size, now, free_at) for p in self.paths]
-        return min(decisions, key=lambda d: d.service_s)
 
 
 class GreedyLatencyScheduler(Scheduler):
     """Ablation: ignore accuracy, always take the earliest-finishing path."""
 
     name = "greedy-latency"
-
-    def select(
-        self, query_size: int, sla_s: float, now: float, free_at: dict[str, list[float]]
-    ) -> Decision:
-        """The earliest-finishing path, accuracy ignored."""
-        decisions = [self._decision(p, query_size, now, free_at) for p in self.paths]
-        return min(decisions, key=lambda d: d.finish_after_arrival_s)

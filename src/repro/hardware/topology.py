@@ -34,9 +34,9 @@ class LinkSpec:
     latency_s: float  # one-way per-message latency (alpha term)
 
     def __post_init__(self) -> None:
-        if self.bandwidth <= 0:
+        if not self.bandwidth > 0:
             raise ValueError("bandwidth must be positive")
-        if self.latency_s < 0:
+        if not self.latency_s >= 0:
             raise ValueError("latency_s must be non-negative")
 
     def transfer_time(self, nbytes: float) -> float:

@@ -76,11 +76,11 @@ class CacheConfig:
     policy: str = "lru"
 
     def __post_init__(self) -> None:
-        if self.capacity_bytes <= 0:
-            raise ValueError("capacity_bytes must be positive")
+        if not 0 < self.capacity_bytes < float("inf"):
+            raise ValueError("capacity_bytes must be positive and finite")
         if self.embedding_dim < 1:
             raise ValueError("embedding_dim must be positive")
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ValueError("alpha must be non-negative")
         if self.policy not in CACHE_POLICIES:
             raise ValueError(

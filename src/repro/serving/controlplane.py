@@ -240,21 +240,21 @@ class ControlPlane:
         self.actions = tuple(dict.fromkeys(self.actions))
         if not 0.0 <= self.lo_pressure < self.hi_pressure:
             raise ValueError("need 0 <= lo_pressure < hi_pressure")
-        if self.util_hi <= 0 or self.util_lo <= 0:
+        if not self.util_hi > 0 or not self.util_lo > 0:
             raise ValueError("util_hi / util_lo must be positive")
         if self.patience < 1 or self.patience_down < 1:
             raise ValueError("patience / patience_down must be >= 1")
-        if self.cooldown_s < 0:
+        if not self.cooldown_s >= 0:
             raise ValueError("cooldown_s must be non-negative")
-        if self.horizon_s <= 0:
+        if not self.horizon_s > 0:
             raise ValueError("horizon_s must be positive")
-        if self.node_cost_w < 0:
+        if not self.node_cost_w >= 0:
             raise ValueError("node_cost_w must be non-negative")
         for entry in self.schedule:
             time_s, kind = entry
             if kind not in ("up", "down"):
                 raise ValueError(f"schedule kind must be up/down, got {kind!r}")
-            if time_s < 0:
+            if not time_s >= 0:
                 raise ValueError("schedule times must be non-negative")
         self._hysteresis = Hysteresis()
         self._ops: AutopilotOps | None = None

@@ -23,7 +23,7 @@ searches its at most ``B`` arrivals (:func:`plan_batches`).
 **Batch pricing is vectorizable.** Service times for every batch total
 come from one :meth:`~repro.core.paths.PathProfile.latency_many` pass per
 candidate path — bit-equal to the kernel's per-batch scalar calls — and
-routing replays each scheduler's decision rule against those tables
+routing replays the scheduler's compiled rule against those tables
 (:func:`_make_router`). A router reads each device's earliest free slot
 once per batch, however many paths share the device, and returns the
 chosen path's index with that slot, which the loop commits to without a
@@ -54,10 +54,11 @@ built, and the other sinks get the blocks scattered into commit order.
 path reproduces the kernel's records bit for bit — same floats, same
 commit order — pinned by ``tests/property/test_prop_engine_parity.py``
 across shed policies, batch sizes, schedulers, and multi-tenant SLAs;
-the kernel remains the reference semantics. Unknown scheduler or policy
-subclasses degrade gracefully: routing falls back to the scheduler's own
-``select_batch`` and shedding to per-member ``admit`` calls, preserving
-exactness at reduced (still batch-level, never event-level) speed.
+the kernel remains the reference semantics. A scheduler that overrides
+``select`` or ``select_batch``, and an unknown policy subclass, degrade
+gracefully: routing falls back to the scheduler's own ``select_batch``
+and shedding to per-member ``admit`` calls, preserving exactness at
+reduced (still batch-level, never event-level) speed.
 
 What the fast path does **not** cover — and
 :class:`~repro.serving.simulator.ServingSimulator` rejects up front —
@@ -73,13 +74,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.online import (
-    GreedyLatencyScheduler,
-    MultiPathScheduler,
-    Scheduler,
-    StaticScheduler,
-    TableSwitchScheduler,
-)
+from repro.core.online import Scheduler
 from repro.data.queries import QueryArrays
 from repro.serving.devices import DeviceTimeline
 from repro.serving.engine import RecordSink, StreamingSink
@@ -209,20 +204,22 @@ def _make_router(
 
     ``index`` is the chosen path's position in ``labels.paths``,
     ``service`` its service time for batch ``b`` and ``free`` its device's
-    earliest free time, the slot the dispatch loop commits to. Service-time
-    tables are precomputed per path over every batch total (bit-equal to
-    the kernel's scalar pricing); each built-in scheduler's decision rule —
-    including tie-breaks, which follow Python ``max`` / ``min`` first-winner
-    semantics — is replayed against those tables. A router reads each
-    device's pool at most once per batch, and every path on that device
-    reuses its wait. Scheduler *subclasses* (which may override selection)
-    fall back to calling ``select_batch`` itself: exact, just not
-    table-accelerated; its path is mapped to an index by identity.
+    earliest free time, the slot the dispatch loop commits to. A scheduler
+    that keeps the base ``select`` and ``select_batch`` is compiled from
+    its rule's settings (``preference``, ``_last_resort``,
+    ``_queue_blind``): service-time tables are precomputed per path over
+    every batch total (bit-equal to the kernel's scalar pricing), and the
+    rule — including tie-breaks, which follow Python ``max`` / ``min``
+    first-winner semantics — is replayed against them. The router reads
+    each device's pool once per batch, and every path on that device
+    reuses its wait. A scheduler that overrides either method falls back
+    to calling ``select_batch`` itself: exact, just not table-accelerated;
+    its path is mapped to an index by identity.
     """
     kind = type(scheduler)
-    if kind not in (
-        StaticScheduler, TableSwitchScheduler, GreedyLatencyScheduler,
-        MultiPathScheduler,
+    if (
+        kind.select is not Scheduler.select
+        or kind.select_batch is not Scheduler.select_batch
     ):
 
         def route(b, now):
@@ -244,39 +241,18 @@ def _make_router(
     where = [devices.index(p.device.name) for p in paths]
     tables = [p.latency_many(totals) for p in paths]
     services = [table.tolist() for table in tables]
-    if kind is StaticScheduler:
-        pool = pools[0]
-        services_l = services[0]
-
-        def route(b, now):
-            return 0, services_l[b], min(pool)
-
-        return route
-
-    if kind is TableSwitchScheduler:
-
-        def route(b, now):
-            # Queue-blind: lowest profiled service time, first wins ties.
-            i = min(range(len(services)), key=lambda j: services[j][b])
-            return i, services[i][b], min(pools[where[i]])
-
-        return route
-
     entries = [(i, where[i], p.accuracy) for i, p in enumerate(paths)]
-    if kind is GreedyLatencyScheduler:
-        # MultiPath's last resort over every path, with no preference
-        # group before it: the earliest projected finish wins.
-        by_kind, fallback = [], entries
-    else:
-        by_kind = [
-            group for group in (
-                [e for e in entries if paths[e[0]].kind == preferred]
-                for preferred in scheduler.preference
-            ) if group
-        ]
-        fallback = [
-            e for e in entries if paths[e[0]].kind == "table"
-        ] or entries
+    by_kind = [
+        group for group in (
+            [e for e in entries if paths[e[0]].kind == preferred]
+            for preferred in scheduler.preference
+        ) if group
+    ]
+    fallback = [
+        e for e in entries if paths[e[0]].kind == scheduler._last_resort
+    ] or entries
+    # Queue-blind ranks the fallback by service time alone: a zero wait.
+    blind = [0.0] * len(devices) if scheduler._queue_blind else None
     # A path whose service alone exceeds the SLA never fits (a wait is
     # never negative, and adding one never lowers the finish), so each
     # batch starts at the first group with a path that can fit.
@@ -309,6 +285,7 @@ def _make_router(
             if best_i >= 0:
                 return best_i, services[best_i][b], frees[where[best_i]]
         # Nothing fits: the earliest projected finish, first wins ties.
+        waits = blind or waits
         best = None
         for i, d, _ in fallback:
             finish = waits[d] + services[i][b]

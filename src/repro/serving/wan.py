@@ -46,7 +46,7 @@ class WanLink:
     cost_per_byte_j: float  # J-eq per byte crossing this link
 
     def __post_init__(self) -> None:
-        if self.cost_per_byte_j < 0:
+        if not self.cost_per_byte_j >= 0:
             raise ValueError("cost_per_byte_j must be non-negative")
 
     @property

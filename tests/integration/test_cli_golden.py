@@ -86,6 +86,7 @@ REJECTIONS = (
     ("--switching with the cache tier", ["--switching", "--cache-mb", "8"]),
     ("non-positive --cache-mb", ["--nodes", "2", "--cache-mb", "0"]),
     ("infinite --cache-mb", ["--nodes", "2", "--cache-mb", "inf"]),
+    ("--cache-mb under one byte", ["--nodes", "2", "--cache-mb", "1e-9"]),
     ("--cache-policy without --cache-mb",
      ["--nodes", "2", "--cache-policy", "lru"]),
     ("cache-affinity without --cache-mb",

@@ -5,9 +5,15 @@ from hypothesis import given, strategies as st
 
 from tests.property.budget import prop_settings
 
-from repro.core.online import MultiPathScheduler, StaticScheduler
+from repro.core.online import (
+    PREFERENCE_ORDER,
+    GreedyLatencyScheduler,
+    MultiPathScheduler,
+    StaticScheduler,
+    TableSwitchScheduler,
+)
 from repro.data.queries import Query, QuerySet
-from repro.hardware.catalog import CPU_BROADWELL, GPU_V100
+from repro.hardware.catalog import CPU_BROADWELL, GPU_V100, TPU_V3_BOARD
 from repro.serving.simulator import ServingSimulator
 from repro.serving.workload import ServingScenario
 
@@ -76,3 +82,112 @@ def test_simulator_conservation_and_ordering(n_queries, gap_ms, t, seed):
         assert s2 >= f1 - 1e-12  # single server: no overlap
     for record in result.records:
         assert record.finish_s >= record.start_s >= record.arrival_s
+
+
+# ---- one rule, four settings ---------------------------------------------
+#
+# The four per-class ``select`` bodies that ``Scheduler.select`` replaced,
+# kept verbatim as oracles: each built-in scheduler's settings must route
+# exactly as its own rule did, ties included.
+
+
+def multipath_select(self, query_size, sla_s, now, free_at):
+    for kind in self.preference:
+        candidates = [p for p in self.paths if p.kind == kind]
+        feasible = [
+            d
+            for d in (
+                self._decision(p, query_size, now, free_at) for p in candidates
+            )
+            if d.finish_after_arrival_s <= sla_s
+        ]
+        if feasible:
+            # Highest accuracy first, earliest finish as tie-break.
+            return max(
+                feasible,
+                key=lambda d: (d.path.accuracy, -d.finish_after_arrival_s),
+            )
+    # Nothing meets the SLA: preserve throughput with the fastest table
+    # path (or fastest overall if no table path exists).
+    tables = [p for p in self.paths if p.kind == "table"] or self.paths
+    decisions = [self._decision(p, query_size, now, free_at) for p in tables]
+    return min(decisions, key=lambda d: d.finish_after_arrival_s)
+
+
+def static_select(self, query_size, sla_s, now, free_at):
+    return self._decision(self.paths[0], query_size, now, free_at)
+
+
+def table_switch_select(self, query_size, sla_s, now, free_at):
+    decisions = [self._decision(p, query_size, now, free_at) for p in self.paths]
+    return min(decisions, key=lambda d: d.service_s)
+
+
+def greedy_select(self, query_size, sla_s, now, free_at):
+    decisions = [self._decision(p, query_size, now, free_at) for p in self.paths]
+    return min(decisions, key=lambda d: d.finish_after_arrival_s)
+
+
+KINDS = ("table", "dhe", "select", "hybrid")
+
+
+@st.composite
+def routing_states(draw):
+    """1-6 paths over one or two devices (one of them a 4-server pool),
+    every kind, with tied accuracies and tied latency profiles; and each
+    device's slots, at, before and after ``now``, with ties."""
+    pair = (CPU_BROADWELL, TPU_V3_BOARD)
+    devices = draw(st.sampled_from([pair[:1], pair[1:], pair, pair]))
+    now = draw(st.sampled_from([0.0, 0.01]))
+    offset = st.sampled_from([-0.002, 0.0, 0.001, 0.003]) | st.floats(-0.01, 0.02)
+    free_at = {}
+    for d in devices:
+        earliest = now + draw(offset)
+        free_at[d.name] = [
+            earliest + draw(st.sampled_from([0.0, 0.002]))
+            for _ in range(d.concurrency)
+        ]
+    paths = [
+        fake_path(
+            draw(st.sampled_from(("table",) + KINDS)),  # tables 2 in 5
+            draw(st.sampled_from(devices)),
+            draw(st.sampled_from([78.79, 78.94, 78.98])),
+            draw(st.sampled_from([1e-3, 2e-3, 4e-3]) | latencies),
+            label=f"P{i}",
+        )
+        for i in range(draw(st.integers(min_value=1, max_value=6)))
+    ]
+    return paths, now, free_at
+
+
+@prop_settings(200)
+@given(
+    state=routing_states(),
+    preference=st.permutations(KINDS).flatmap(
+        lambda kinds: st.integers(0, len(kinds)).map(lambda k: kinds[:k])
+    ) | st.just(PREFERENCE_ORDER),
+    size=sizes,
+    data=st.data(),
+)
+def test_settings_route_as_each_class_rule(state, preference, size, data):
+    """Every built-in scheduler's ``select`` returns the decision its own
+    rule returned: the same path object, service time and wait. The SLA
+    is drawn at random or exactly at one path's projected finish."""
+    paths, now, free_at = state
+    finishes = [
+        max(0.0, min(free_at[p.device.name]) - now) + p.latency(size)
+        for p in paths
+    ]
+    sla = data.draw(slas | st.sampled_from(finishes), label="sla")
+    cases = [
+        (MultiPathScheduler(paths, preference), multipath_select),
+        (StaticScheduler(paths[:1]), static_select),
+        (GreedyLatencyScheduler(paths), greedy_select),
+    ]
+    if any(p.kind == "table" for p in paths):
+        cases.append((TableSwitchScheduler(paths), table_switch_select))
+    for sched, oracle in cases:
+        got = sched.select(size, sla, now, free_at)
+        want = oracle(sched, size, sla, now, free_at)
+        assert got.path is want.path, sched.name
+        assert (got.service_s, got.wait_s) == (want.service_s, want.wait_s)

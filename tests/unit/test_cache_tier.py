@@ -40,6 +40,13 @@ class TestConfig:
             config(policy="fifo")
         with pytest.raises(ValueError, match="alpha"):
             config(alpha=-1.0)
+        # NaN passes ``x < 0``; a NaN or infinite budget would make
+        # ``capacity_entries`` NaN and still build.
+        with pytest.raises(ValueError, match="alpha"):
+            config(alpha=float("nan"))
+        for capacity_bytes in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="capacity_bytes"):
+                config(capacity_bytes=capacity_bytes)
 
     def test_sizing_matches_single_node_tier(self):
         cfg = config(capacity_bytes=1000)

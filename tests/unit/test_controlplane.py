@@ -118,6 +118,12 @@ class TestValidation:
             ControlPlane(min_nodes=1, max_nodes=2, horizon_s=0.0)
         with pytest.raises(ValueError):
             ControlPlane(min_nodes=1, max_nodes=2, node_cost_w=-1.0)
+        # NaN passes ``x < 0`` and ``x <= 0``: a NaN cooldown would
+        # silently disable the cooldown (``now < now + nan`` is false).
+        for name in ("cooldown_s", "horizon_s", "node_cost_w", "util_hi",
+                     "util_lo"):
+            with pytest.raises(ValueError, match=name):
+                ControlPlane(min_nodes=1, max_nodes=2, **{name: float("nan")})
 
     def test_rejects_bad_schedule(self):
         with pytest.raises(ValueError, match="up/down"):
@@ -125,6 +131,9 @@ class TestValidation:
                          schedule=((0.1, "sideways"),))
         with pytest.raises(ValueError):
             ControlPlane(min_nodes=1, max_nodes=2, schedule=((-0.1, "up"),))
+        with pytest.raises(ValueError, match="schedule times"):
+            ControlPlane(min_nodes=1, max_nodes=2,
+                         schedule=((float("nan"), "up"),))
 
 
 class TestDemandTrend:

@@ -119,6 +119,10 @@ class TestClusterLinks:
             LinkSpec(name="bad", bandwidth=0.0, latency_s=1e-6)
         with pytest.raises(ValueError):
             LinkSpec(name="bad", bandwidth=1e9, latency_s=-1.0)
+        with pytest.raises(ValueError, match="bandwidth"):
+            LinkSpec(name="bad", bandwidth=float("nan"), latency_s=1e-6)
+        with pytest.raises(ValueError, match="latency_s"):
+            LinkSpec(name="bad", bandwidth=1e9, latency_s=float("nan"))
 
     def test_alltoall_degenerate_cases(self):
         from repro.hardware.topology import ETHERNET_100G, alltoall_exchange_time

@@ -14,7 +14,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.core.online import MultiPathScheduler, StaticScheduler
+from repro.core.online import MultiPathScheduler, Scheduler, StaticScheduler
 from repro.data.queries import (
     Query,
     QuerySet,
@@ -115,12 +115,16 @@ class ShedEverySecond(ShedPolicy):
 
 
 class PickyStatic(StaticScheduler):
-    """A scheduler subclass: forces the select_batch fallback router."""
+    """A scheduler subclass that overrides ``select``: forces the
+    select_batch fallback router."""
+
+    def select(self, query_size, sla_s, now, free_at):
+        return super().select(query_size, sla_s, now, free_at)
 
 
 class PickyMulti(MultiPathScheduler):
-    """A MultiPath subclass on the shared-device shape: the fallback maps
-    each returned path to its index by identity."""
+    """A MultiPath subclass that overrides neither ``select`` nor
+    ``select_batch``: the fast path compiles its settings."""
 
 
 class CopyingMulti(MultiPathScheduler):
@@ -139,7 +143,7 @@ class CopyingMulti(MultiPathScheduler):
 
 
 class TestFallbacks:
-    def test_scheduler_subclass_falls_back_to_select_batch(self):
+    def test_scheduler_subclass_falls_back_to_select_batch(self, monkeypatch):
         scenario = build_scenario([0.001] * 12, [64] * 12, 0.010)
         paths = [fake_path("table", CPU_BROADWELL, 78.79, 2e-3, label="T")]
         event = ServingSimulator(
@@ -149,10 +153,16 @@ class TestFallbacks:
             PickyStatic(list(paths)), max_batch_size=4,
             batch_timeout_s=0.002, engine="fast",
         )
-        assert fast.run(scenario).records == event.run(scenario).records
+        expected = event.run(scenario).records
+        calls = Counter()
+        count_calls(monkeypatch, calls, Scheduler, "select_batch")
+        assert fast.run(scenario).records == expected
+        arrivals = scenario.queries.as_arrays().arrival_s
+        batches = plan_batches(arrivals, 4, 0.002)[0]
+        assert calls["select_batch"] == len(batches) > 1
 
     @pytest.mark.parametrize("cls", [PickyMulti, CopyingMulti])
-    def test_multipath_subclass_on_shared_devices(self, cls):
+    def test_multipath_subclass_on_shared_devices(self, cls, monkeypatch):
         # Arrivals dense enough that both devices queue, every path
         # serves, some members are shed and all four servers are used.
         scenario = build_scenario(
@@ -167,7 +177,11 @@ class TestFallbacks:
             shed_policy="drop-late", engine="fast",
         )
         expected = event.run(scenario).records
+        calls = Counter()
+        count_calls(monkeypatch, calls, Scheduler, "select_batch")
         assert fast.run(scenario).records == expected
+        # Only the subclass that overrides select_batch routes through it.
+        assert (calls["select_batch"] > 0) == (cls is CopyingMulti)
         assert {r.path_label for r in expected} == {
             "T-CPU", "H-CPU", "T-TPU", "H-TPU", "DROPPED",
         }
@@ -196,16 +210,22 @@ def count_calls(monkeypatch, calls, owner, name):
     monkeypatch.setattr(owner, name, wrapper)
 
 
-def serve_fastday_shape():
+FASTDAY_STREAM = dict(
+    n_queries=20_000, qps=24_000.0, process="diurnal", amplitude=0.6,
+    period_s=20_000 / 24_000.0, seed=1,
+)
+FASTDAY_SERVING = dict(
+    shed_policy="deadline-aware", track_energy=True, max_batch_size=128,
+    batch_timeout_s=0.004,
+)
+
+
+def serve_fastday_shape(scheduler=None, streaming=True):
     """The node-fastday benchmark's shape, shortened to 20,000 queries."""
-    arrays = generate_query_arrays(
-        n_queries=20_000, qps=24_000.0, process="diurnal",
-        amplitude=0.6, period_s=20_000 / 24_000.0, seed=1,
-    )
     return serve_arrays(
-        build_schedulers(KAGGLE)["mp-rec"], arrays, sla_s=0.010,
-        shed_policy="deadline-aware", track_energy=True,
-        max_batch_size=128, batch_timeout_s=0.004,
+        scheduler or build_schedulers(KAGGLE)["mp-rec"],
+        generate_query_arrays(**FASTDAY_STREAM), sla_s=0.010,
+        streaming=streaming, **FASTDAY_SERVING,
     )
 
 
@@ -273,6 +293,24 @@ class TestServeArrays:
         assert calls["power"] == 0
         assert calls["query_energy"] == 0
         assert 1 <= calls["power_many"] <= len(served)
+
+    def test_subclass_keeping_select_is_compiled(self, monkeypatch):
+        """Counted work, not a wall clock: a subclass that overrides
+        neither ``select`` nor ``select_batch`` is routed by the compiled
+        rule, with no ``select_batch`` call, and serves the kernel's
+        records."""
+        paths = build_schedulers(KAGGLE)["mp-rec"].paths
+        scenario = ServingScenario(
+            queries=generate_query_set(**FASTDAY_STREAM), sla_s=0.010
+        )
+        kernel = ServingSimulator(
+            MultiPathScheduler(paths), **FASTDAY_SERVING
+        ).run(scenario)
+        calls = Counter()
+        count_calls(monkeypatch, calls, Scheduler, "select_batch")
+        fast = serve_fastday_shape(PickyMulti(paths), streaming=False)
+        assert calls["select_batch"] == 0
+        assert fast.records == kernel.records
 
     def test_routes_from_one_device_read_and_interns_each_label_once(
         self, monkeypatch

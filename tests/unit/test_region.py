@@ -78,6 +78,8 @@ class TestWanLink:
     def test_negative_price_rejected(self):
         with pytest.raises(ValueError, match="cost_per_byte_j"):
             WanLink(spec=WAN_METRO, cost_per_byte_j=-1e-9)
+        with pytest.raises(ValueError, match="cost_per_byte_j"):
+            WanLink(spec=WAN_METRO, cost_per_byte_j=float("nan"))
 
     def test_link_classes_are_ordered(self):
         # Faster links are cheaper: metro < transcon < intercont in both
