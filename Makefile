@@ -25,15 +25,18 @@
 # change; `make roofline-golden` likewise rewrites the pinned roofline
 # (tests/unit/golden/roofline.txt: every operator component and the
 # average power, bit for bit); `make profile` cProfiles the `serve` hot
-# path, `make profile-fast` the array fast path and `make profile-geo`
-# the geo tier (3 regions, one failing, spill routing and caches).
+# path, `make profile-fast` the array fast path, `make profile-geo`
+# the geo tier (3 regions, one failing, spill routing and caches) and
+# `make profile-fleet` the elastic autopilot fleet (2..6 nodes,
+# cache-affinity routing, node caches, a diurnal day).
 
 PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test bench-smoke perf-smoke bench bench-selftest bench-trace-smoke \
 	lint check examples-smoke docs-check docstrings-check results-check \
-	cli-golden roofline-golden profile profile-fast profile-geo
+	cli-golden roofline-golden profile profile-fast profile-geo \
+	profile-fleet
 
 test:
 	$(PYTHON) -m pytest -x -q -o faulthandler_timeout=600
@@ -114,6 +117,14 @@ profile-geo:
 		--region-fail-at 0.55 --fail-region 1 --queries 10000 --qps 4500 \
 		--sla-ms 50 --max-batch 16 --batch-timeout-ms 2 --cache-mb 1 \
 		| head -45
+
+profile-fleet:
+	$(PYTHON) -m cProfile -s cumtime -m repro serve \
+		--nodes 6 --autopilot --min-nodes 2 --max-nodes 6 \
+		--router cache-affinity --replication 2 --cache-mb 4 \
+		--link eth-25g --max-batch 16 --batch-timeout-ms 8 \
+		--queries 40000 --qps 6000 --sla-ms 15 --arrivals diurnal \
+		--streaming | head -45
 
 check:
 	scripts/check.sh

@@ -337,12 +337,13 @@ class SwitchController:
         # batch size) still fits the headroom. No feasible candidate means
         # the operating point is marginal — inconclusive evidence keeps the
         # current residency rather than guessing.
+        priced = [(p, p.latency(size)) for p in candidates]
         feasible = [
-            p for p in candidates
-            if wait_s + p.latency(size) <= self.headroom * sla_s
+            (p, latency) for p, latency in priced
+            if wait_s + latency <= self.headroom * sla_s
         ]
         if feasible:
-            return max(feasible, key=lambda p: (p.accuracy, -p.latency(size)))
+            return max(feasible, key=lambda pl: (pl[0].accuracy, -pl[1]))[0]
         return self._resident[device]
 
     def switch_overhead_s(self, old_path: ExecutionPath,

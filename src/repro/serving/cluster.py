@@ -85,6 +85,7 @@ scenarios in ``tests/property/test_prop_engine_parity.py``.
 from __future__ import annotations
 
 import copy
+import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -397,6 +398,7 @@ class ClusterSimulator:
                 )
         if fail_at is not None and not fail_at >= 0:  # also rejects nan
             raise ValueError("fail_at must be non-negative")
+        fail_node = _as_id("fail_node", fail_node)
         if fail_at is not None and not 0 <= fail_node < n_nodes:
             raise ValueError("fail_node out of range")
         if controlplane is not None:
@@ -514,6 +516,7 @@ class ClusterSimulator:
             self._epoch(k0)[1],
             list(range(self.node_base, self.node_base + k0)),
         )
+        state.bounded = self.max_queue > 0
         state.router = make_router(
             self._router_spec, shard_map=state.shard_map, link=self.link
         )
@@ -706,8 +709,7 @@ class ClusterSimulator:
                 join["cache"].stats.merge(core.cache.stats)
                 core.cache = join["cache"]
             state.active.append(core)
-            state.shard_map = join["map"]
-            state.router.update_shard_map(state.shard_map)
+            state.regroup(join["map"])
             ledger.activate(node, now)
             cluster.scale_ups += 1
             cluster.handoff_overhead_s += join["warm_s"]
@@ -723,8 +725,7 @@ class ClusterSimulator:
             node = state.members.pop()
             core = cores[node]
             state.active.remove(core)
-            state.shard_map = self._epoch(len(state.members))[1]
-            state.router.update_shard_map(state.shard_map)
+            state.regroup(self._epoch(len(state.members))[1])
             donated_bytes = 0
             if core.cache is not None:
                 # The drain donates its hot set: survivors absorb an even
@@ -762,6 +763,7 @@ class ClusterSimulator:
             if not core.alive:
                 return
             state.active.remove(core)
+            state.regroup(state.shard_map)
             cluster.failed_nodes.append(node)
             alive_ids = {c.node_id for c in state.active}
             state.covered = bool(alive_ids) and state.shard_map.coverage_ok(
@@ -875,27 +877,37 @@ class ClusterSimulator:
             return warm
 
         def route_miss_s(name):
+            # Priced once per name per membership epoch (``regroup``
+            # drops the memo), unless it read a cache: a commit can move
+            # that within the epoch.
+            if name in state.route_miss:
+                return state.route_miss[name]
             shard_map = state.shard_map
-            if not state.active:
+            active = state.active
+            if not active:
                 return 0.0
             hot_bytes = shard_map.hot_fraction * shard_map.bytes_per_sample
-            placement_aware = name in ("locality", "cache-affinity")
+            keep = True
             total = 0.0
             for group in range(shard_map.n_nodes):
-                affinities = []
-                for member in state.active:
-                    if member.node_id in shard_map.owners[group]:
-                        affinities.append(1.0)
-                    elif name == "cache-affinity" and member.cache is not None:
-                        affinities.append(member.cache.affinity(group))
-                    else:
-                        affinities.append(0.0)
-                affinity = (
-                    max(affinities) if placement_aware
-                    else sum(affinities) / len(affinities)
-                )
+                owned = [m.node_id in shard_map.owners[group] for m in active]
+                if name not in ("locality", "cache-affinity"):
+                    affinity = sum(owned) / len(owned)
+                elif any(owned) or name == "locality":
+                    # An owner's 1.0 is the best affinity there is: the
+                    # popularity CDF is bounded by 1.0.
+                    affinity = float(any(owned))
+                else:
+                    keep = False
+                    affinity = max(
+                        0.0 if m.cache is None else m.cache.affinity(group)
+                        for m in active
+                    )
                 total += miss_penalty_s(affinity, hot_bytes, self.link)
-            return total / shard_map.n_nodes
+            value = total / shard_map.n_nodes
+            if keep:
+                state.route_miss[name] = value
+            return value
 
         def set_router(name):
             state.router = make_router(
@@ -1061,13 +1073,16 @@ class _RunState:
     current epoch's shard map, the member ids (always a prefix), the
     routable cores, the installed router (mutable — the autopilot's
     reroute action swaps it mid-run), whether the routable cores still
-    cover every shard group, and each core's most recent previewed
-    cache lookups, splits, overlay and hit bytes (pending until the
-    dispatch commits them)."""
+    cover every shard group, whether queues are bounded (else no core is
+    ever ``full``), each core's most recent previewed cache lookups,
+    splits, overlay and hit bytes (pending until the dispatch commits
+    them), and the autopilot's reroute prices for the current membership.
+    Every ``active`` core is alive: whatever clears ``alive`` removes the
+    core first, and a join revives its core before adding it."""
 
     __slots__ = (
-        "shard_map", "members", "active", "router", "covered",
-        "pending_cache",
+        "shard_map", "members", "active", "router", "covered", "bounded",
+        "pending_cache", "route_miss",
     )
 
     def __init__(self, shard_map: ShardMap, members: list[int]) -> None:
@@ -1076,7 +1091,17 @@ class _RunState:
         self.active: list[EngineCore] = []
         self.router: Router | None = None
         self.covered = True
+        self.bounded = False
         self.pending_cache: dict[int, tuple] = {}
+        self.route_miss: dict[str, float] = {}
+
+    def regroup(self, shard_map: ShardMap) -> None:
+        """``active`` changed: install ``shard_map`` (the new epoch's, or
+        the same one after a failure) on the state and its router, and
+        drop the reroute prices of the old membership."""
+        self.shard_map = shard_map
+        self.router.update_shard_map(shard_map)
+        self.route_miss.clear()
 
 
 class FleetLedger:
@@ -1149,8 +1174,11 @@ class FleetLedger:
     def admit(self, query, now: float, state: _RunState) -> EngineCore | None:
         """Route one arrival to a usable core of ``state``, or shed it at
         the edge when every core is full or dead or a shard group has no
-        live replica."""
-        candidates = [c for c in state.active if c.alive and not c.full]
+        live replica.  Active cores are alive, so unbounded queues hand
+        the router ``state.active`` itself."""
+        candidates = state.active
+        if state.bounded:
+            candidates = [c for c in candidates if not c.full]
         if not candidates or not state.covered:
             self.reinjected.discard(query.index)
             self.edge_drops += 1
@@ -1200,6 +1228,15 @@ def _cached_groups(node_id: int, shard_map: ShardMap) -> list[int]:
         g for g in range(shard_map.n_nodes)
         if node_id not in shard_map.owners[g]
     ]
+
+
+def _as_id(name: str, value) -> int:
+    """``value`` as a plain ``int`` id: NumPy integers and bools convert,
+    anything else is a ``ValueError`` naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer id: {value!r}") from None
 
 
 def _node_idle_w(core: EngineCore) -> float:

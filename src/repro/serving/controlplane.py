@@ -307,7 +307,7 @@ class ControlPlane:
         # exchange, cache misses — tick.extra_s), against the batching
         # window.  The extra term is what makes a cache re-warm or a
         # reroute a *capacity* action here: they shrink extra_s.
-        util = window_utilization(
+        resident_util = util = window_utilization(
             tick.path, tick.batch_size, timeout, floor_guard=True
         )
         if timeout > 0:
@@ -356,7 +356,9 @@ class ControlPlane:
             # otherwise thrash against the surge relief at exactly the
             # cooldown period.
             return
-        candidates = self._candidates(core, tick, mode, util, pressure)
+        candidates = self._candidates(
+            core, tick, mode, util, pressure, resident_util
+        )
         best, execute = self._choose(candidates)
         if best is None:
             # Nothing actionable on THIS node at this instant; the
@@ -414,10 +416,11 @@ class ControlPlane:
 
     # ---- candidate generation / pricing ----------------------------------
 
-    def _candidates(self, core, tick, mode, util_eff, pressure):
+    def _candidates(self, core, tick, mode, util_eff, pressure, resident_util):
         """Price every enabled action at this operating point: a list of
         ``(CandidateCost, execute)`` pairs (``execute`` is None for the
-        infeasible ones and the ``hold`` baseline).
+        infeasible ones and the ``hold`` baseline).  ``util_eff`` is the
+        tick's ``resident_util`` plus its extra time.
 
         The SLA is a *constraint*, not a term in the cost: once the
         queueing delay alone blows the target (``pressure >= 1``), or the
@@ -431,10 +434,6 @@ class ControlPlane:
         out = [
             (CandidateCost("hold", 0.0, True, "keep the configuration"), None)
         ]
-        resident_util = window_utilization(
-            tick.path, tick.batch_size, core.batcher.timeout_s,
-            floor_guard=True,
-        )
         blown = mode == "surge" and (
             pressure >= 1.0 or resident_util >= self.util_hi
         )

@@ -50,7 +50,9 @@ class DeviceTimeline:
         earliest = self._earliest
         if earliest is None:
             earliest = self._earliest = min(map(min, self.free_at.values()))
-        return max(0.0, earliest - now)
+        # ``max(0.0, earliest - now)`` without the builtin call: the
+        # difference of two distinct floats is never 0.0.
+        return earliest - now if earliest > now else 0.0
 
     def block(self, device: str, now: float, duration_s: float) -> float:
         """Charge a device-wide blocking event (e.g. a representation

@@ -382,8 +382,9 @@ class EngineCore:
     default, so single-node switching needs no extra plumbing.
 
     The attributes routers key on — ``node_id``, ``inflight_queries``,
-    ``alive``, ``full``, ``earliest_free_delay`` — live here, so a core
-    *is* the cluster's node object.
+    ``alive``, ``full``, ``timeline`` (whose ``earliest_free_delay`` the
+    built-in routers read directly) — live here, so a core *is* the
+    cluster's node object.
     """
 
     __slots__ = (

@@ -83,7 +83,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.serving.cache import CacheConfig, NodeCache
-from repro.serving.cluster import ClusterSimulator, FleetLedger
+from repro.serving.cluster import ClusterSimulator, FleetLedger, _as_id
 from repro.serving.engine import (
     ARRIVAL,
     CONTROL,
@@ -421,8 +421,10 @@ class RegionSimulator:
             raise ValueError("region_replication must be in [1, n_regions]")
         if (fail_region is None) != (fail_at is None):
             raise ValueError("fail_region and fail_at go together")
-        if fail_region is not None and not 0 <= fail_region < len(regions):
-            raise ValueError("fail_region out of range")
+        if fail_region is not None:
+            fail_region = _as_id("fail_region", fail_region)
+            if not 0 <= fail_region < len(regions):
+                raise ValueError("fail_region out of range")
         if fail_at is not None and not fail_at >= 0:  # also rejects nan
             raise ValueError("fail_at must be non-negative")
         if bytes_per_query <= 0:

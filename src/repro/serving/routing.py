@@ -75,7 +75,8 @@ class Router:
 
 def _load_key(node: "ClusterNode", now: float) -> tuple:
     """Deterministic load ordering: queue depth, earliest-free, node id."""
-    return (node.inflight_queries, node.earliest_free_delay(now), node.node_id)
+    delay = node.timeline.earliest_free_delay(now)
+    return (node.inflight_queries, delay, node.node_id)
 
 
 class RoundRobinRouter(Router):
@@ -189,20 +190,18 @@ class CacheAffinityRouter(Router):
         # key is queue delay + fabric miss penalty — the shared signal
         # vocabulary (repro.serving.signals), also what the control
         # plane's reroute predictions price — then load, then node id.
+        # An owner's penalty is exactly 0.0 (affinity 1.0), so it scores
+        # its queue delay alone.
         best = best_key = None
         for node in candidates:
-            if node.node_id in owners:
-                affinity = 1.0
-            elif node.cache is None:
-                affinity = 0.0
-            else:
-                affinity = node.cache.affinity(group)
-            key = (
-                node.earliest_free_delay(now)
-                + miss_penalty_s(affinity, hot_bytes, link),
-                node.inflight_queries,
-                node.node_id,
-            )
+            cost = node.timeline.earliest_free_delay(now)
+            if node.node_id not in owners:
+                cache = node.cache
+                cost += miss_penalty_s(
+                    0.0 if cache is None else cache.affinity(group),
+                    hot_bytes, link,
+                )
+            key = (cost, node.inflight_queries, node.node_id)
             if best is None or key < best_key:
                 best, best_key = node, key
         return best

@@ -15,26 +15,50 @@ pick against the per-region ``wait_of``, ``RoundRobinRouter.select_node``
 against its keyed ``min``, ``DeviceTimeline.earliest`` against its keyed
 ``min`` over slot indices, and ``_GeoSink.observe_all`` against its
 per-outcome re-entry of ``observe``.
+
+The fleet's routing inputs are checked against the code they replaced
+too: the autopilot's ``route_miss_s``, priced once per membership epoch,
+against its per-call body, through random membership changes and cache
+commits; and ``FleetLedger.admit``, which hands the router the active
+cores themselves, against its per-arrival ``alive and not full`` filter,
+over cluster runs with failure and scale schedules.
 """
 
 import math
 from types import SimpleNamespace
 
-from hypothesis import given, strategies as st
+import numpy as np
+import pytest
+from hypothesis import example, given, strategies as st
 
 from tests.property.budget import prop_settings
 
 from repro.analysis.sharding import greedy_shard
-from repro.core.mp_cache import row_entry_bytes
-from repro.data.queries import Query
+from repro.core.mp_cache import row_entry_bytes, zipf_popularity_cdf
+from repro.core.online import StaticScheduler
+from repro.core.paths import ExecutionPath, PathProfile
+from repro.core.representations import RepresentationConfig
+from repro.data.queries import Query, QuerySet
+from repro.hardware.catalog import GPU_V100
 from repro.hardware.topology import ETHERNET_25G
 from repro.serving.cache import CacheConfig
-from repro.serving.cluster import ClusterNode, ShardMap
+from repro.serving.cluster import (
+    ClusterNode,
+    ClusterSimulator,
+    FleetLedger,
+    ShardMap,
+)
+from repro.serving.controlplane import ControlPlane
 from repro.serving.devices import DeviceTimeline
 from repro.serving.policies import NoShed
 from repro.serving.region import _GeoSink, _region_waits, _rehome_target
-from repro.serving.routing import CacheAffinityRouter, RoundRobinRouter
+from repro.serving.routing import (
+    ROUTER_NAMES,
+    CacheAffinityRouter,
+    RoundRobinRouter,
+)
 from repro.serving.signals import miss_penalty_s
+from repro.serving.workload import ServingScenario
 
 LABELS = ("A", "B")
 DIM = 8
@@ -176,9 +200,10 @@ def test_earliest_free_delay_matches_recomputation(concurrencies, steps):
     timeline = DeviceTimeline(_Scheduler(concurrencies).paths)
     for op, now in steps:
         _apply_timeline(timeline, op)
-        assert timeline.earliest_free_delay(now) == (
-            oracle_earliest_free_delay(timeline, now)
-        ), op
+        delay = timeline.earliest_free_delay(now)
+        expected = oracle_earliest_free_delay(timeline, now)
+        assert delay == expected, op
+        assert math.copysign(1.0, delay) == math.copysign(1.0, expected)
 
 
 @prop_settings(100)
@@ -460,3 +485,211 @@ def test_geo_fan_out_matches_per_outcome_loop(
     assert _fan_out(_GeoSink, n_regions, homes, crossed, outcomes) == (
         _fan_out(OracleGeoSink, n_regions, homes, crossed, outcomes)
     )
+
+
+# ---- the fleet's routing inputs against the code they replaced --------------
+
+
+def oracle_route_miss_s(name, state, link):
+    """The autopilot's ``route_miss_s`` as it was: every call re-derives
+    every group's affinity over every active member."""
+    shard_map = state.shard_map
+    if not state.active:
+        return 0.0
+    hot_bytes = shard_map.hot_fraction * shard_map.bytes_per_sample
+    placement_aware = name in ("locality", "cache-affinity")
+    total = 0.0
+    for group in range(shard_map.n_nodes):
+        affinities = []
+        for member in state.active:
+            if member.node_id in shard_map.owners[group]:
+                affinities.append(1.0)
+            elif name == "cache-affinity" and member.cache is not None:
+                affinities.append(member.cache.affinity(group))
+            else:
+                affinities.append(0.0)
+        affinity = (
+            max(affinities) if placement_aware
+            else sum(affinities) / len(affinities)
+        )
+        total += miss_penalty_s(affinity, hot_bytes, link)
+    return total / shard_map.n_nodes
+
+
+@prop_settings(60)
+@given(n_rows=st.integers(1, 200_000), alpha=st.floats(0.0, 3.0))
+@example(n_rows=60_580, alpha=3.0)  # its running sum rounds past 1.0
+def test_no_cache_affinity_beats_ownership(n_rows, alpha):
+    # ``route_miss_s`` scores a group with an active owner 1.0 without
+    # reading a cache: no residency's hit rate may exceed it.
+    assert zipf_popularity_cdf(n_rows, alpha).max() == 1.0
+
+
+def oracle_admit_candidates(state):
+    """``FleetLedger.admit``'s candidate list as it was."""
+    return [c for c in state.active if c.alive and not c.full]
+
+
+FLEET_SIZES = np.array([1.0, 16.0, 256.0])
+FLEET_NODES = 4
+FLEET_ROWS = 64  # the cache tier's fleet-wide hot-row universe
+
+
+def fleet_scheduler():
+    return StaticScheduler([ExecutionPath(
+        rep=RepresentationConfig("table", 16), device=GPU_V100,
+        accuracy=79.5, label="A",
+        profile=PathProfile(
+            sizes=FLEET_SIZES, latencies=0.0003 + 0.0004 * FLEET_SIZES
+        ),
+    )])
+
+
+def fleet(replication=1, **kwargs):
+    return ClusterSimulator(
+        fleet_scheduler(),
+        greedy_shard([4000, 3000, 2000, 1000], 8, FLEET_NODES),
+        replication=replication, link=ETHERNET_25G, **kwargs,
+    )
+
+
+fleet_ops = st.one_of(
+    # A new membership: the active subset (the owners of a group may all
+    # be gone) and the epoch whose shard map it serves under (None keeps
+    # the current one, and with it every cache's residency).
+    st.tuples(
+        st.just("members"),
+        st.lists(st.booleans(), min_size=FLEET_NODES, max_size=FLEET_NODES),
+        st.none() | st.integers(1, FLEET_NODES),
+    ),
+    # A cache commit on an active node: (node, group, rows).
+    st.tuples(st.just("commit"), raw, raw, rows),
+)
+
+
+@prop_settings(150)
+@given(
+    replication=st.integers(1, 2),
+    k0=st.integers(2, FLEET_NODES),
+    warm=st.lists(st.integers(0, 8), min_size=FLEET_NODES ** 2,
+                  max_size=FLEET_NODES ** 2),
+    order=st.permutations(ROUTER_NAMES),
+    steps=st.lists(fleet_ops, max_size=20),
+)
+def test_route_miss_matches_per_call_pricing(
+    replication, k0, warm, order, steps
+):
+    sim = fleet(replication, cache_bytes=16 * row_entry_bytes(8),
+                cache_hot_rows=FLEET_ROWS)
+    state, cores = sim._begin_run(k0)
+    ops = sim._autopilot_ops(
+        SimpleNamespace(sla_s=0.015), state, cores, None, None
+    )
+    n_groups = state.shard_map.n_nodes
+    for i, n_rows in enumerate(warm):  # residency on every node
+        node, group = divmod(i, FLEET_NODES)
+        cores[node].cache.lookup("A", group % n_groups, n_rows)
+    for op in [None, *steps]:
+        if op is None:
+            pass
+        elif op[0] == "members":
+            _, mask, k = op
+            k = n_groups if k is None else max(k, replication)
+            if k != n_groups:
+                n_groups = k
+                for core in cores:
+                    core.cache.rekey(k, sim._hot_rows_per_group(k))
+            state.active = [c for c, on in zip(cores, mask) if on]
+            state.regroup(sim._epoch(k)[1])
+            assert state.route_miss == {}
+        elif state.active:
+            _, node, group, n_rows = op
+            state.active[node % len(state.active)].cache.lookup(
+                "A", group % n_groups, n_rows
+            )
+        # Twice: the second pass reads what the first one kept.
+        for name in order + order:
+            assert ops.route_miss_s(name) == oracle_route_miss_s(
+                name, state, sim.link
+            ), (op, name, state.route_miss)
+
+
+def fleet_scenario(n, qps):
+    queries = [
+        Query(index=i, size=1 + i % 3, arrival_s=i / qps, user=i % 11)
+        for i in range(n)
+    ]
+    return ServingScenario(queries=QuerySet(queries=queries), sla_s=0.015)
+
+
+@prop_settings(40)
+@given(
+    router=st.sampled_from(ROUTER_NAMES),
+    max_queue=st.sampled_from([0, 2, 6]),
+    cache=st.booleans(),
+    drill=st.one_of(
+        # One node failure: (node, instant as a share of the run).
+        st.tuples(st.just("fail"), st.integers(0, FLEET_NODES - 1),
+                  st.sampled_from([0.0, 0.3, 0.7])),
+        # Forced membership changes from ``k0`` members.
+        st.tuples(
+            st.just("scale"), st.integers(2, FLEET_NODES),
+            st.lists(st.tuples(st.sampled_from([0.1, 0.4, 0.6, 0.9]),
+                               st.sampled_from(["up", "down"])),
+                     max_size=4),
+        ),
+    ),
+)
+def test_admit_hands_the_router_alive_usable_cores(
+    router, max_queue, cache, drill
+):
+    if router == "cache-affinity":
+        cache = True
+    n, qps = 240, 8000.0
+    run_s = n / qps
+    kwargs = dict(
+        router=router, max_queue=max_queue, max_batch_size=4,
+        batch_timeout_s=0.001,
+        cache_bytes=16 * row_entry_bytes(8) if cache else 0,
+    )
+    if drill[0] == "fail":
+        _, node, share = drill
+        sim = fleet(2, fail_at=share * run_s, fail_node=node, **kwargs)
+    else:
+        _, k0, schedule = drill
+        sim = fleet(2, controlplane=ControlPlane(
+            min_nodes=2, max_nodes=FLEET_NODES, initial_nodes=k0,
+            actions=(), schedule=tuple(
+                (share * run_s, op) for share, op in schedule
+            ),
+        ), **kwargs)
+    routed = []
+    admit = FleetLedger.admit
+
+    def checked_admit(ledger, query, now, state):
+        expected = oracle_admit_candidates(state)
+        offered = []
+        select_node = state.router.select_node
+
+        def spy(query, now, candidates):
+            offered.append(list(candidates))
+            return select_node(query, now, candidates)
+
+        state.router.select_node = spy
+        try:
+            core = admit(ledger, query, now, state)
+        finally:
+            del state.router.select_node
+        if offered:
+            assert all(c.alive for c in offered[0])
+            assert offered[0] == expected
+            routed.append(core)
+        else:
+            assert not expected or not state.covered
+        return core
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FleetLedger, "admit", checked_admit)
+        res = sim.run(fleet_scenario(n, qps))
+    assert routed
+    assert len(res.result.records) == n

@@ -1,16 +1,36 @@
-"""Cluster simulator: shard map, equivalence, failover, backpressure."""
+"""Cluster simulator: shard map, equivalence, failover, backpressure,
+and the elastic fleet's counted routing and control work."""
 
+from collections import Counter
+
+import numpy as np
 import pytest
 
+from tests.unit.test_fastpath import count_calls
+
 from repro.analysis.sharding import greedy_shard
+from repro.core.online import StaticScheduler
+from repro.core.paths import ExecutionPath, PathProfile
+from repro.core.representations import RepresentationConfig
+from repro.core.switching import SwitchController
+from repro.data.queries import Query, QuerySet, arrival_times
+from repro.data.zipf import ZipfSampler
 from repro.experiments.setup import (
     build_cluster,
     build_regions,
     build_schedulers,
 )
+from repro.hardware.catalog import GPU_V100
 from repro.hardware.topology import ETHERNET_25G
 from repro.models.configs import KAGGLE
+from repro.serving import cluster as cluster_module
+from repro.serving import controlplane as controlplane_module
+from repro.serving import routing as routing_module
 from repro.serving.cluster import ClusterSimulator, ShardMap
+from repro.serving.controlplane import _FLEET, ControlPlane
+from repro.serving.engine import EngineCore
+from repro.serving.routing import CacheAffinityRouter
+from repro.serving.signals import Hysteresis
 from repro.serving.simulator import ServingSimulator
 from repro.serving.workload import ServingScenario
 
@@ -263,6 +283,24 @@ class TestValidation:
         with pytest.raises(ValueError, match="fail_node"):
             ClusterSimulator(mp_rec, plan, fail_at=0.1, fail_node=2)
 
+    def test_fail_node_must_be_an_integer_id(self, mp_rec):
+        plan = greedy_shard(KAGGLE.cardinalities, 16, 2)
+        for fail_node in (1.0, 1.5, "1", None):
+            with pytest.raises(ValueError, match="fail_node"):
+                ClusterSimulator(
+                    mp_rec, plan, fail_at=0.005, fail_node=fail_node
+                )
+        # A NumPy integer or a bool is the plain int it stands for, and
+        # the failure fires at its instant.
+        for fail_node in (np.int64(1), True):
+            sim = ClusterSimulator(
+                mp_rec, plan, replication=2, fail_at=0.005,
+                fail_node=fail_node,
+            )
+            assert type(sim.fail_node) is int
+            res = sim.run(_scenario(n_queries=200))
+            assert res.failed_nodes == [1] and res.lost == 0
+
     def test_fail_at_non_negative(self, mp_rec):
         plan = greedy_shard(KAGGLE.cardinalities, 16, 2)
         for fail_at in (-0.1, float("nan")):
@@ -287,6 +325,133 @@ class TestValidation:
             build_cluster(KAGGLE, 2, scheduler="nope")
         with pytest.raises(ValueError, match="unknown scheduler"):
             build_regions(KAGGLE, 2, scheduler="nope")
+
+
+# ---- counted work ----------------------------------------------------------
+
+FLEET_SIZES = np.unique(np.geomspace(1, 4096, 33).astype(int)).astype(float)
+
+
+def _fleet_path(kind, rep_kwargs, accuracy, per_sample, label):
+    return ExecutionPath(
+        rep=RepresentationConfig(kind, 16, **rep_kwargs), device=GPU_V100,
+        accuracy=accuracy, label=label,
+        profile=PathProfile(
+            sizes=FLEET_SIZES, latencies=0.0003 + per_sample * FLEET_SIZES
+        ),
+    )
+
+
+def _reduced_fleet(seed=1):
+    """The elastic autopilot fleet (2..6 nodes from 5, cache-affinity
+    routing, 4 MB node caches, the two synthetic paths under a switch
+    controller) on a compressed day: a 3 s diurnal period instead of
+    12 s, with the flash crowd at the same phase, 18,000 queries in all.
+    The plane switches, drains to the floor and scales back up, as on
+    the full day."""
+    accurate = _fleet_path("table", {}, 79.5, 0.0012, "ACCURATE")
+    fast = _fleet_path("dhe", dict(k=4, dnn=64, h=1), 78.0, 0.0004, "FAST")
+    cluster = ClusterSimulator(
+        StaticScheduler([accurate]),
+        greedy_shard(
+            [1_000_000, 800_000, 700_000, 600_000, 500_000, 400_000], 16, 6
+        ),
+        router="cache-affinity", replication=2, max_batch_size=16,
+        batch_timeout_s=0.008, link=ETHERNET_25G, cache_bytes=4 << 20,
+        switch_controller=SwitchController(
+            candidates={GPU_V100.name: [accurate, fast]},
+            load_s=0.002, teardown_s=0.0005, cooldown_s=0.25,
+        ),
+        controlplane=ControlPlane(
+            min_nodes=2, max_nodes=6, hi_pressure=0.75, lo_pressure=0.1,
+            initial_nodes=5, patience=2, patience_down=48, cooldown_s=0.05,
+        ),
+    )
+    rng = np.random.default_rng(seed)
+    base = arrival_times(
+        13_500, 3_000.0, rng=rng, process="diurnal", period_s=3.0,
+        amplitude=0.75,
+    )
+    spike = 0.625 + arrival_times(4_500, 6_000.0, rng=rng)
+    arrivals = np.sort(np.concatenate([base, spike]))
+    users = ZipfSampler(20_000, alpha=1.25, seed=seed).sample(arrivals.size)
+    queries = QuerySet(queries=[
+        Query(index=i, size=1, arrival_s=t, user=u)
+        for i, (t, u) in enumerate(zip(arrivals.tolist(), users.tolist()))
+    ])
+    return cluster, ServingScenario(queries=queries, sla_s=0.015)
+
+
+class TestFleetWorkCounts:
+    def test_routes_and_prices_from_state_kept_current(self, monkeypatch):
+        """Counted work, not a wall clock, on the elastic autopilot
+        fleet.  The router reads each candidate's timeline directly and
+        prices a miss penalty for non-owners only; the autopilot prices
+        each reroute policy at most once per membership epoch; and a
+        control tick's window utilization is computed once and handed
+        to the candidate pricing."""
+        calls = Counter()
+        work = Counter()
+        count_calls(monkeypatch, calls, EngineCore, "earliest_free_delay")
+        count_calls(
+            monkeypatch, calls, controlplane_module, "window_utilization"
+        )
+        count_calls(monkeypatch, calls, ControlPlane, "_candidates")
+        for module, key in ((routing_module, "router_penalties"),
+                            (cluster_module, "reroute_penalties")):
+            def counted(*args, _price=module.miss_penalty_s, _key=key):
+                work[_key] += 1
+                return _price(*args)
+
+            monkeypatch.setattr(module, "miss_penalty_s", counted)
+
+        select_node = CacheAffinityRouter.select_node
+
+        def counted_select(self, query, now, candidates):
+            owners = self.shard_map.owners[self.shard_map.group_of(query)]
+            work["non_owners"] += sum(
+                c.node_id not in owners for c in candidates
+            )
+            return select_node(self, query, now, candidates)
+
+        monkeypatch.setattr(CacheAffinityRouter, "select_node", counted_select)
+        blocked = Hysteresis.blocked
+
+        def counted_blocked(self, key, now):
+            held = blocked(self, key, now)
+            if key == _FLEET and not held:
+                work["evaluated_ticks"] += 1
+            return held
+
+        monkeypatch.setattr(Hysteresis, "blocked", counted_blocked)
+        computed = []  # one entry per reroute price actually computed
+        autopilot_ops = ClusterSimulator._autopilot_ops
+
+        def counted_ops(self, *args):
+            ops = autopilot_ops(self, *args)
+            route_miss_s = ops.route_miss_s
+
+            def counted_route_miss_s(name):
+                before = work["reroute_penalties"]
+                value = route_miss_s(name)
+                if work["reroute_penalties"] != before:
+                    computed.append(name)
+                return value
+
+            ops.route_miss_s = counted_route_miss_s
+            return ops
+
+        monkeypatch.setattr(ClusterSimulator, "_autopilot_ops", counted_ops)
+        cluster, scenario = _reduced_fleet()
+        res = cluster.run_streaming(scenario)
+        assert res.result.n == len(scenario.queries)
+        assert res.switches >= 1
+        assert res.scale_ups >= 1 and res.scale_downs >= 1
+        assert calls["earliest_free_delay"] == 0
+        assert 0 < work["router_penalties"] == work["non_owners"]
+        assert 0 < len(computed) <= 4 * (res.scale_ups + res.scale_downs + 1)
+        assert calls["_candidates"] > 0
+        assert calls["window_utilization"] == work["evaluated_ticks"]
 
 
 class TestExperimentsEntryPoint:

@@ -190,6 +190,23 @@ class TestRegionValidation:
         never = RegionSimulator(members, fail_region=0, fail_at=INF)
         assert never.fail_at == INF
 
+    def test_fail_region_must_be_an_integer_id(self):
+        members = [("a", self.plain()), ("b", self.plain(1))]
+        for fail_region in (1.5, 1.0, "1", [1]):
+            with pytest.raises(ValueError, match="fail_region"):
+                RegionSimulator(members, fail_region=fail_region, fail_at=1.0)
+        # A NumPy integer or a bool is the plain int it stands for, in
+        # the run's ledger too.
+        scenario, region_of = tiny_scenario(n_regions=2, qps=1500.0)
+        fail_at = scenario.queries[len(scenario.queries) // 3].arrival_s
+        for fail_region in (np.int64(1), True):
+            res = build_regions(
+                KAGGLE, 2, region_replication=2, fail_region=fail_region,
+                fail_at=fail_at,
+            ).run(scenario, region_of)
+            assert res.failed_regions == [1]
+            assert type(res.failed_regions[0]) is int
+
     def test_rejects_bad_byte_knobs(self):
         member = [("a", self.plain())]
         with pytest.raises(ValueError, match="bytes_per_query"):
