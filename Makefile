@@ -10,6 +10,11 @@
 # of each workload must reproduce perfbench/fingerprints.json);
 # `make bench-trace-smoke` runs every workload once traced (`--trace 1`),
 # so a span wrapper that no longer installs fails the gate;
+# `make bench-pairs PARENT=<dir>` runs alternating parent/change pairs of
+# one workload (WORKLOAD, SEED, PAIRS, RUN_SECONDS; default geo-failover, 1,
+# 10, 20) through scripts/bench_pairs.py and prints each end-to-end
+# metric's quartiles, wins and median difference (OUT=BENCH_<pr>.json
+# keeps the runs);
 # `make lint` byte-compiles every tree and
 # checks the suite still collects (no external linters are assumed in the
 # container); `make docstrings-check` fails on undocumented public API in
@@ -34,9 +39,9 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test bench-smoke perf-smoke bench bench-selftest bench-trace-smoke \
-	lint check examples-smoke docs-check docstrings-check results-check \
-	cli-golden roofline-golden profile profile-fast profile-geo \
-	profile-fleet
+	bench-pairs lint check examples-smoke docs-check docstrings-check \
+	results-check cli-golden roofline-golden profile profile-fast \
+	profile-geo profile-fleet
 
 test:
 	$(PYTHON) -m pytest -x -q -o faulthandler_timeout=600
@@ -65,6 +70,16 @@ bench-selftest:
 
 bench-trace-smoke:
 	$(PYTHON) perfbench/run.py --workload all --trace 1 --seconds 1
+
+WORKLOAD ?= geo-failover
+SEED ?= 1
+PAIRS ?= 10
+RUN_SECONDS ?= 20
+bench-pairs:
+	@test -n "$(PARENT)" || { echo "usage: make bench-pairs PARENT=<dir>"; exit 2; }
+	$(PYTHON) scripts/bench_pairs.py --parent $(PARENT) \
+		--workload $(WORKLOAD) --seed $(SEED) --pairs $(PAIRS) \
+		--seconds $(RUN_SECONDS) $(if $(OUT),--out $(OUT))
 
 lint:
 	$(PYTHON) -m compileall -q src tests benchmarks examples

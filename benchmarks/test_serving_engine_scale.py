@@ -28,6 +28,7 @@ import pytest
 from conftest import fmt_row
 
 from repro.core.online import Scheduler
+from repro.core.paths import PathProfile
 from repro.data.queries import generate_query_arrays
 from repro.experiments.setup import build_schedulers
 from repro.models.configs import KAGGLE
@@ -261,7 +262,9 @@ def test_engine_scale_counted_work(monkeypatch):
     shape at 20,000 queries: the reference loop routes every query
     through ``select``, the kernel routes once per dispatched batch, and
     the reference evaluates at least ``KERNEL_SPEEDUP_FLOOR`` times as
-    many candidate paths (``_decision`` calls) as the kernel."""
+    many candidate paths (``_decision`` calls, each pricing one) as the
+    kernel prices (``PathProfile.latency`` calls: the kernel routes
+    through the compiled rule, which builds no per-candidate decision)."""
     n_queries = 20_000
     scenario = ServingScenario.paper_default(
         n_queries=n_queries, qps=QPS, seed=7
@@ -285,11 +288,11 @@ def test_engine_scale_counted_work(monkeypatch):
     calls.clear()
     count(EngineCore, "dispatch")
     count(Scheduler, "select_batch")
+    count(PathProfile, "latency")
     ServingSimulator(scheduler, track_energy=False, **BATCH_KWARGS).run(
         scenario
     )
     assert reference["select"] == n_queries
     assert 0 < calls["select_batch"] == calls["dispatch"]
-    assert reference["_decision"] >= (
-        KERNEL_SPEEDUP_FLOOR * calls["_decision"]
-    )
+    assert 0 < calls["latency"]
+    assert reference["_decision"] >= KERNEL_SPEEDUP_FLOOR * calls["latency"]

@@ -13,6 +13,7 @@ Commands mirror the library's main entry points:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -61,6 +62,13 @@ def _non_negative_float(value: str) -> float:
     return parsed
 
 
+def _finite_non_negative_float(value: str) -> float:
+    parsed = float(value)
+    if not 0 <= parsed < math.inf:  # also rejects nan
+        raise argparse.ArgumentTypeError("must be finite and >= 0")
+    return parsed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="MP-Rec reproduction toolkit"
@@ -105,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["none", "drop-late", "deadline-aware"],
     )
     serve.add_argument("--max-batch", type=_positive_int, default=1)
-    serve.add_argument("--batch-timeout-ms", type=_non_negative_float,
+    serve.add_argument("--batch-timeout-ms", type=_finite_non_negative_float,
                        default=0.0)
     serve.add_argument(
         "--streaming", action="store_true",

@@ -110,6 +110,7 @@ from repro.serving.engine import (
     EngineCore,
     RecordSink,
     StreamingSink,
+    check_batching,
     drop_query,
     run_kernel,
 )
@@ -380,10 +381,9 @@ class ClusterSimulator:
                 "cluster controllers and failure injection are owned by "
                 "the RegionSimulator there"
             )
-        if max_batch_size < 1:
-            raise ValueError("max_batch_size must be >= 1")
-        if not batch_timeout_s >= 0:  # also rejects nan
-            raise ValueError("batch_timeout_s must be non-negative")
+        max_batch_size, batch_timeout_s = check_batching(
+            max_batch_size, batch_timeout_s
+        )
         if max_queue < 0:
             raise ValueError("max_queue must be non-negative")
         n_nodes = plan.n_nodes

@@ -27,10 +27,16 @@ The kernel's vocabulary:
 :class:`EngineCore`
     One node's serving kernel: scheduler + :class:`~repro.serving.devices.
     DeviceTimeline` + :class:`Batcher` + shed policy. ``dispatch`` routes
-    the batch once (``Scheduler.select_batch``), places it on the routed
-    device's earliest-free server, offers every member to the shed
-    policy, re-prices the pass on the surviving samples, and charges the
-    device timeline. A ``service_extra`` hook prices per-batch costs the
+    the batch once (``Scheduler.select_batch``), places it on the slot
+    the decision carries (the routed device's earliest-free server, read
+    by the compiled rule; scanned here only for a scheduler routing by
+    its own ``select``), offers every member to the shed policy,
+    re-prices the pass on the surviving samples, charges the device
+    timeline, and builds the batch's one
+    :class:`~repro.serving.metrics.OutcomeBlock`. Service times and
+    energy come from the run's :class:`~repro.core.online.PriceTable`,
+    so each (path, size) is priced once per run. A ``service_extra``
+    hook prices per-batch costs the
     node itself cannot see (the cluster's all-to-all embedding exchange);
     a :class:`~repro.core.switching.SwitchController` may ride along to
     swap the device's resident representation between batches.
@@ -49,24 +55,25 @@ cluster defers them to the batch's *finish* event so a node failure can
 still displace in-flight batches and re-inject their queries
 (``defer_commit=True``). Everything upstream of that commit is shared.
 
-Sinks are pluggable: :class:`RecordSink` materializes every
-:class:`~repro.serving.metrics.QueryRecord` (exact percentiles),
-:class:`StreamingSink` folds outcomes into constant-memory
-:class:`~repro.serving.metrics.StreamingMetrics`.
+Sinks are pluggable and take one block per batch (``observe_all``) and
+one row per shed query (``observe``): :class:`RecordSink` keeps them for
+exact metrics and builds each :class:`~repro.serving.metrics.QueryRecord`
+only when ``records`` is read, :class:`StreamingSink` folds them into
+constant-memory :class:`~repro.serving.metrics.StreamingMetrics`.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 
-import numpy as np
-
+from repro.core.online import PriceTable
 # Not called here: the benchmark tracer (perfbench/spans.py) wraps this
 # name, so it must stay importable from this module.
 from repro.hardware.latency import estimate_breakdown  # noqa: F401
 from repro.serving.devices import DeviceTimeline
-from repro.serving.metrics import QueryRecord, ServingResult, StreamingMetrics
+from repro.serving.metrics import OutcomeBlock, ServingResult, StreamingMetrics
 from repro.serving.policies import NoShed, ShedPolicy
 
 # Event kinds, ordered only for readability — ties resolve by sequence
@@ -79,6 +86,32 @@ SWITCH = 4  # representation-switch completion
 
 
 # ---- shared admission / pricing helpers ----------------------------------
+
+
+def check_batching(max_batch_size, batch_timeout_s) -> tuple[int, float]:
+    """The batching knobs' one domain, checked by every engine and façade.
+
+    ``max_batch_size`` must be an integer of at least 1 (NumPy integers
+    and bools pass, normalised by ``operator.index``) and
+    ``batch_timeout_s`` finite and non-negative (an infinite timeout would
+    fire a partial batch's flush at infinity). Returns both normalised;
+    anything else is a ``ValueError`` naming the parameter.
+    """
+    try:
+        size = operator.index(max_batch_size)
+    except TypeError:
+        raise ValueError(
+            f"max_batch_size must be an integer, got {max_batch_size!r}"
+        ) from None
+    if size < 1:
+        raise ValueError("max_batch_size must be >= 1")
+    # Written so that NaN fails too.
+    if not 0 <= batch_timeout_s < math.inf:
+        raise ValueError(
+            "batch_timeout_s must be finite and non-negative, got "
+            f"{batch_timeout_s!r}"
+        )
+    return size, batch_timeout_s
 
 
 def shed_batch(
@@ -120,14 +153,19 @@ def apportion_energy(
     return batch_energy * query_size / admitted_size
 
 
-def query_energy(path, query_size: int, service_s: float) -> float:
+def query_energy(
+    path, query_size: int, service_s: float, prices: PriceTable | None = None,
+) -> float:
     """Energy of one device pass: the path's roofline average power at
-    ``query_size`` samples when it carries a price model, half the
-    device's TDP otherwise, over ``service_s`` seconds."""
+    ``query_size`` samples when it carries a price model (read through
+    ``prices``, the kernel run's table, when given), half the device's
+    TDP otherwise, over ``service_s`` seconds."""
     if path.price is None:
         # Utilization-agnostic fallback.
         return path.device.tdp_w * 0.5 * service_s
-    return path.price.power(query_size) * service_s
+    if prices is None:
+        return path.price.power(query_size) * service_s
+    return prices.power(path)[query_size] * service_s
 
 
 def drop_query(sink, query, sla_s: float) -> None:
@@ -142,30 +180,25 @@ def drop_query(sink, query, sla_s: float) -> None:
 
 
 class RecordSink:
-    """Materialize every outcome as a QueryRecord (exact metrics)."""
+    """Keep every outcome for exact metrics: a :class:`~repro.serving.
+    metrics.ServingResult` holds the blocks and drop rows, and builds
+    the :class:`~repro.serving.metrics.QueryRecord` objects only when
+    read."""
 
     def __init__(self, scheduler_name: str, sla_s: float) -> None:
         self.result = ServingResult(scheduler_name=scheduler_name, sla_s=sla_s)
 
     def observe(self, index, size, arrival_s, start_s, finish_s, path_label,
                 accuracy, energy_j, dropped, sla_s) -> None:
-        """Materialize one outcome as a :class:`QueryRecord`.
-
-        The record is built from positional arguments, in field order:
-        a frozen dataclass builds markedly faster that way."""
-        self.result.records.append(QueryRecord(
+        """Keep one outcome (a shed query) as a row."""
+        self.result._append((
             index, size, arrival_s, start_s, finish_s, path_label, accuracy,
-            energy_j, dropped,
-            # Only tenant-specific targets are stamped on the record, so
-            # single-SLA runs stay identical to the reference loop's.
-            None if sla_s == self.result.sla_s else sla_s,
+            energy_j, dropped, sla_s,
         ))
 
-    def observe_all(self, outcomes) -> None:
-        """Materialize one dispatched batch's outcomes, in commit order."""
-        observe = self.observe
-        for outcome in outcomes:
-            observe(*outcome)
+    def observe_all(self, block: OutcomeBlock) -> None:
+        """Keep one dispatched batch's block, in commit order."""
+        self.result._append(block)
 
 
 class StreamingSink:
@@ -185,30 +218,24 @@ class StreamingSink:
             energy_j=energy_j, dropped=dropped, sla_s=sla_s,
         )
 
-    def observe_all(self, outcomes) -> None:
-        """Fold one dispatched batch's outcomes, vectorized when it pays.
+    def observe_all(self, block: OutcomeBlock) -> None:
+        """Fold one dispatched batch's block, vectorized when it pays.
 
-        A dispatched batch shares one path (and is either all served or
-        committed drop by drop), so large batches fold through
-        :meth:`StreamingMetrics.observe_many` in a handful of array passes
-        instead of one Python call per query; small or mixed batches
-        replay per outcome.
-        """
-        if len(outcomes) < self._VECTOR_MIN:
-            for outcome in outcomes:
-                self.observe(*outcome)
-            return
-        (_, sizes, arrivals, starts, finishes, labels, accuracies,
-         energies, dropped, slas) = zip(*outcomes)
-        if any(dropped) or labels.count(labels[0]) != len(labels):
-            for outcome in outcomes:
-                self.observe(*outcome)
+        A block under ``_VECTOR_MIN`` members folds outcome by outcome;
+        a larger one folds through :meth:`StreamingMetrics.observe_many`
+        from its columns, in a handful of array passes."""
+        queries = block.queries
+        m = len(queries)
+        if m < self._VECTOR_MIN:
+            observe = self.result.observe
+            for outcome in block.outcomes():
+                observe(*outcome[1:])
             return
         self.result.observe_many(
-            sizes, arrivals, starts, finishes, labels[0],
-            np.asarray(accuracies, dtype=np.float64),
-            energies=np.asarray(energies, dtype=np.float64),
-            slas=np.asarray(slas, dtype=np.float64),
+            [q.size for q in queries], [q.arrival_s for q in queries], None,
+            [block.finish_s] * m, block.path_label, block.accuracy,
+            energies=block.energies(),
+            slas=block.sla_s if block.slas is None else block.slas,
         )
 
 
@@ -267,12 +294,9 @@ class Batcher:
     __slots__ = ("max_batch_size", "timeout_s", "pending", "generation", "armed")
 
     def __init__(self, max_batch_size: int, timeout_s: float) -> None:
-        if max_batch_size < 1:
-            raise ValueError("max_batch_size must be >= 1")
-        if not timeout_s >= 0:  # also rejects nan
-            raise ValueError("batch_timeout_s must be non-negative")
-        self.max_batch_size = max_batch_size
-        self.timeout_s = timeout_s
+        self.max_batch_size, self.timeout_s = check_batching(
+            max_batch_size, timeout_s
+        )
         self.pending: list = []
         self.generation = 0  # bumped per dispatch; stale timers are skipped
         self.armed = False
@@ -299,17 +323,6 @@ class Batcher:
         self.generation += 1
         self.armed = False
         return batch
-
-
-class _InFlight:
-    """One dispatched batch awaiting its finish event."""
-
-    __slots__ = ("queries", "outcomes", "energy_j")
-
-    def __init__(self, queries, outcomes, energy_j) -> None:
-        self.queries = queries
-        self.outcomes = outcomes
-        self.energy_j = energy_j
 
 
 class ControlTick:
@@ -391,7 +404,7 @@ class EngineCore:
         "node_id", "scheduler", "policy", "batcher", "timeline", "max_queue",
         "track_energy", "defer_commit", "service_extra", "service_commit",
         "switcher", "on_control_tick", "on_switch", "cache", "alive",
-        "in_flight", "inflight_queries", "served", "shed",
+        "in_flight", "inflight_queries", "served", "shed", "prices",
     )
 
     def __init__(
@@ -434,10 +447,15 @@ class EngineCore:
         self.on_switch = on_switch
         self.cache = cache
         self.alive = True
-        self.in_flight: dict[int, _InFlight] = {}
+        # Dispatched batches by finish-event sequence number, each kept as
+        # its outcome block (deferred or already committed).
+        self.in_flight: dict[int, OutcomeBlock] = {}
         self.inflight_queries = 0  # admission queue + dispatched, unfinished
         self.served = 0
         self.shed = 0
+        # Re-pricing and energy read this table; ``run_kernel`` shares one
+        # per run between every core it drives.
+        self.prices = PriceTable()
         if switcher is not None:
             switcher.attach(self)
 
@@ -478,12 +496,13 @@ class EngineCore:
 
     def on_finish(self, seq: int, sink) -> None:
         """A dispatched batch completed; commit deferred outcomes."""
-        batch = self.in_flight.pop(seq, None)
-        if batch is None:
+        block = self.in_flight.pop(seq, None)
+        if block is None:
             return  # invalidated by a failure
-        sink.observe_all(batch.outcomes)
-        self.inflight_queries -= len(batch.queries)
-        self.served += len(batch.queries)
+        if self.defer_commit:
+            sink.observe_all(block)
+        self.inflight_queries -= len(block.queries)
+        self.served += len(block.queries)
 
     def on_switch_complete(self, device: str, now: float) -> None:
         """A representation switch's blocking window elapsed."""
@@ -503,8 +522,11 @@ class EngineCore:
         )
         path = decision.path
         device = path.device.name
-        server, free = self.timeline.earliest(device)
-        projected_start = max(now, free)
+        slot = decision.slot
+        server, free = (
+            self.timeline.earliest(device) if slot is None else slot
+        )
+        projected_start = free if free > now else now  # max(now, free)
         extra_s = 0.0
         if self.service_extra is not None:
             extra_s = self.service_extra(self, batch, path)
@@ -536,7 +558,7 @@ class EngineCore:
         if len(admitted) != len(batch):
             # Re-price the pass on the surviving samples only.
             admitted_size = sum(q.size for q in admitted)
-            compute_s = path.latency(admitted_size)
+            compute_s = self.prices.service(path)[admitted_size]
             if self.service_extra is not None:
                 extra_s = self.service_extra(self, admitted, path)
         start = projected_start
@@ -553,24 +575,20 @@ class EngineCore:
         if self.track_energy:
             # Energy covers the device pass; fabric exchange is priced in
             # time only (NIC power is negligible next to the device TDP).
-            batch_energy = query_energy(path, admitted_size, compute_s)
-        outcomes = [
-            (
-                query.index, query.size, query.arrival_s, start, finish,
-                path.label, path.accuracy,
-                apportion_energy(
-                    batch_energy, query.size, len(admitted), admitted_size
-                ),
-                False, scenario.sla_for(query),
+            batch_energy = query_energy(
+                path, admitted_size, compute_s, self.prices
             )
-            for query in admitted
-        ]
-        seq = loop.push(finish, FINISH, self.node_id)
-        if self.defer_commit:
-            self.in_flight[seq] = _InFlight(admitted, outcomes, batch_energy)
-        else:
-            sink.observe_all(outcomes)
-            self.in_flight[seq] = _InFlight(admitted, (), batch_energy)
+        block = OutcomeBlock(
+            admitted,
+            # Per-query targets only when the scenario has tenant ones.
+            [scenario.sla_for(q) for q in admitted]
+            if scenario.sla_by_tenant else None,
+            scenario.sla_s, start, finish, path.label, path.accuracy,
+            batch_energy, len(admitted), admitted_size,
+        )
+        self.in_flight[loop.push(finish, FINISH, self.node_id)] = block
+        if not self.defer_commit:
+            sink.observe_all(block)
         if self.on_control_tick is not None:
             # Pressure signal: the batch's worst queueing delay (batching
             # fill + device queue), i.e. what its oldest member endured.
@@ -586,9 +604,9 @@ class EngineCore:
         """Kill the node: return its displaced queries and wasted energy."""
         displaced = self.batcher.clear()
         wasted = 0.0
-        for batch in self.in_flight.values():
-            displaced.extend(batch.queries)
-            wasted += batch.energy_j
+        for block in self.in_flight.values():
+            displaced.extend(block.queries)
+            wasted += block.energy_j
         self.alive = False
         self.in_flight = {}
         self.inflight_queries = 0
@@ -630,26 +648,41 @@ def run_kernel(cores, scenario, sink, admit, extra_events=(), on_control=None):
     loop.seed_arrivals(scenario.queries)
     for time, kind, payload in extra_events:
         loop.push(time, kind, payload)
-
+    # One price table per run, shared by every core and every scheduler
+    # (a cluster may share one scheduler across its cores), dropped when
+    # the run ends.
+    prices = PriceTable()
+    schedulers = {}
+    for core in cores:
+        core.prices = prices
+        schedulers[id(core.scheduler)] = core.scheduler
     # Test the heap list itself, not ``EventLoop.__bool__``, once per
     # event; every event is still taken through ``pop``.
     heap = loop._heap
     pop = loop.pop
     time = 0.0
-    while heap:
-        time, seq, kind, payload = pop()
-        if kind == ARRIVAL:
-            core = admit(payload, time, loop)
-            if core is not None:
-                core.enqueue(payload, time, loop, scenario, sink)
-        elif kind == FLUSH:
-            node_id, generation = payload
-            cores[node_id].on_flush(generation, time, loop, scenario, sink)
-        elif kind == FINISH:
-            cores[payload].on_finish(seq, sink)
-        elif kind == SWITCH:
-            node_id, device = payload
-            cores[node_id].on_switch_complete(device, time)
-        else:
-            on_control(kind, payload, time, loop)
+    try:
+        for scheduler in schedulers.values():
+            scheduler._open_run(prices)
+        while heap:
+            time, seq, kind, payload = pop()
+            if kind == ARRIVAL:
+                core = admit(payload, time, loop)
+                if core is not None:
+                    core.enqueue(payload, time, loop, scenario, sink)
+            elif kind == FLUSH:
+                node_id, generation = payload
+                cores[node_id].on_flush(
+                    generation, time, loop, scenario, sink
+                )
+            elif kind == FINISH:
+                cores[payload].on_finish(seq, sink)
+            elif kind == SWITCH:
+                node_id, device = payload
+                cores[node_id].on_switch_complete(device, time)
+            else:
+                on_control(kind, payload, time, loop)
+    finally:
+        for scheduler in schedulers.values():
+            scheduler._close_run()
     return time

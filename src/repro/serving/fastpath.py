@@ -23,8 +23,9 @@ searches its at most ``B`` arrivals (:func:`plan_batches`).
 **Batch pricing is vectorizable.** Service times for every batch total
 come from one :meth:`~repro.core.paths.PathProfile.latency_many` pass per
 candidate path — bit-equal to the kernel's per-batch scalar calls — and
-routing replays the scheduler's compiled rule against those tables
-(:func:`_make_router`). A router reads each device's earliest free slot
+routing runs the scheduler's compiled rule, the one the kernel runs
+(:class:`~repro.core.online.Rule`), against those tables
+(:func:`_make_router`). The rule reads each device's earliest free slot
 once per batch, however many paths share the device, and returns the
 chosen path's index with that slot, which the loop commits to without a
 second scan. Energy is read by nothing in the loop, so it is priced
@@ -74,10 +75,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.online import Scheduler
+from repro.core.online import Scheduler, compile_rule
 from repro.data.queries import QueryArrays
 from repro.serving.devices import DeviceTimeline
-from repro.serving.engine import RecordSink, StreamingSink
+from repro.serving.engine import RecordSink, StreamingSink, check_batching
 from repro.serving.metrics import QueryRecord, ServingResult, StreamingMetrics
 from repro.serving.policies import (
     DeadlineAware,
@@ -112,13 +113,11 @@ def plan_batches(
     while touching only the batch's own slice.
 
     Returns ``(starts, ends, dispatch_times)`` as parallel arrays. Raises
-    ``ValueError`` on a batch size under 1 or a negative or NaN timeout,
-    either of which would stall the boundary chain.
+    ``ValueError`` outside the batching domain (``check_batching``): a
+    batch size that is not an integer of at least 1, or a timeout that is
+    negative, NaN or infinite.
     """
-    if max_batch_size < 1:
-        raise ValueError("max_batch_size must be >= 1")
-    if not timeout_s >= 0:  # also rejects nan
-        raise ValueError("batch_timeout_s must be non-negative")
+    max_batch_size, timeout_s = check_batching(max_batch_size, timeout_s)
     n = int(arrivals.size)
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
@@ -200,100 +199,51 @@ def _make_router(
     scheduler: Scheduler, labels: _Labels, totals: np.ndarray, sla_s: float,
     free_at: dict[str, list[float]],
 ):
-    """Compile a scheduler into ``route(b, now) -> (index, service, free)``.
+    """A batch router and its tables: ``(route, services, pools, first)``.
 
-    ``index`` is the chosen path's position in ``labels.paths``,
-    ``service`` its service time for batch ``b`` and ``free`` its device's
-    earliest free time, the slot the dispatch loop commits to. A scheduler
-    that keeps the base ``select`` and ``select_batch`` is compiled from
-    its rule's settings (``preference``, ``_last_resort``,
-    ``_queue_blind``): service-time tables are precomputed per path over
-    every batch total (bit-equal to the kernel's scalar pricing), and the
-    rule — including tie-breaks, which follow Python ``max`` / ``min``
-    first-winner semantics — is replayed against them. The router reads
-    each device's pool once per batch, and every path on that device
-    reuses its wait. A scheduler that overrides either method falls back
-    to calling ``select_batch`` itself: exact, just not table-accelerated;
-    its path is mapped to an index by identity.
+    ``route(services, b, sla_s, now, pools, first[b])`` returns ``(index,
+    service, wait, server, free)`` for batch ``b``: the chosen path's
+    position in ``labels.paths``, its service time and queue wait, and
+    the routed device's earliest-free server and its free time, the slot
+    the dispatch loop commits to. A scheduler that keeps the base
+    ``select`` and ``select_batch`` routes through its compiled
+    :class:`~repro.core.online.Rule`, the kernel's own, over service-time
+    tables precomputed per path for every batch total (bit-equal to the
+    kernel's scalar pricing); each batch starts at the first preference
+    group with a path that can fit. A scheduler that overrides either
+    method falls back to calling ``select_batch`` itself: exact, just not
+    table-accelerated; its path is mapped to an index by identity.
     """
-    kind = type(scheduler)
-    if (
-        kind.select is not Scheduler.select
-        or kind.select_batch is not Scheduler.select_batch
-    ):
+    rule = compile_rule(scheduler)
+    if rule is None:
 
-        def route(b, now):
+        def route(services, b, sla_s, now, pools, first):
             decision = scheduler.select_batch(
                 int(totals[b]), sla_s, now, free_at
             )
             path = decision.path
+            pool = free_at[path.device.name]
+            free = min(pool)
             return (
-                labels.index(path), decision.service_s,
-                min(free_at[path.device.name]),
+                labels.index(path), decision.service_s, decision.wait_s,
+                pool.index(free), free,
             )
 
-        return route
+        return route, None, None, [0] * totals.size
 
-    paths = scheduler.paths
-    devices = list(dict.fromkeys(p.device.name for p in paths))
+    tables = [path.latency_many(totals) for path in rule.paths]
     # The timeline writes its pools in place, so these stay live.
-    pools = [free_at[device] for device in devices]
-    where = [devices.index(p.device.name) for p in paths]
-    tables = [p.latency_many(totals) for p in paths]
-    services = [table.tolist() for table in tables]
-    entries = [(i, where[i], p.accuracy) for i, p in enumerate(paths)]
-    by_kind = [
-        group for group in (
-            [e for e in entries if paths[e[0]].kind == preferred]
-            for preferred in scheduler.preference
-        ) if group
-    ]
-    fallback = [
-        e for e in entries if paths[e[0]].kind == scheduler._last_resort
-    ] or entries
-    # Queue-blind ranks the fallback by service time alone: a zero wait.
-    blind = [0.0] * len(devices) if scheduler._queue_blind else None
+    pools = [free_at[device] for device in rule.devices]
     # A path whose service alone exceeds the SLA never fits (a wait is
     # never negative, and adding one never lowers the finish), so each
     # batch starts at the first group with a path that can fit.
     fits = [
-        np.any([tables[i] <= sla_s for i, _, _ in group], axis=0)
-        for group in by_kind
+        np.any([tables[i] <= sla_s for i in group], axis=0)
+        for group in rule.groups
     ]
-    first = np.argmax(fits + [np.ones(totals.size, bool)], axis=0)
-    tails = [by_kind[g:] for g in range(len(by_kind) + 1)]
-    plans = [tails[g] for g in first.tolist()]
-
-    def route(b, now):
-        frees = list(map(min, pools))
-        waits = []
-        for free in frees:
-            wait = free - now
-            if wait < 0.0:
-                wait = 0.0
-            waits.append(wait)
-        for group in plans[b]:
-            # The most accurate path that fits, earliest finish on ties.
-            best_key = None
-            best_i = -1
-            for i, d, accuracy in group:
-                finish = waits[d] + services[i][b]
-                if finish <= sla_s:
-                    key = (accuracy, -finish)
-                    if best_key is None or key > best_key:
-                        best_key, best_i = key, i
-            if best_i >= 0:
-                return best_i, services[best_i][b], frees[where[best_i]]
-        # Nothing fits: the earliest projected finish, first wins ties.
-        waits = blind or waits
-        best = None
-        for i, d, _ in fallback:
-            finish = waits[d] + services[i][b]
-            if best is None or finish < best:
-                best, best_i = finish, i
-        return best_i, services[best_i][b], frees[where[best_i]]
-
-    return route
+    first = np.argmax(fits + [np.ones(totals.size, bool)], axis=0).tolist()
+    services = [table.tolist() for table in tables]
+    return rule.route, services, pools, first
 
 
 # ---- the vectorized engine ------------------------------------------------
@@ -334,7 +284,9 @@ def _simulate(
     free_at = timeline.free_at
     starts, ends, times = plan_batches(arrivals, max_batch_size, batch_timeout_s)
     totals = np.add.reduceat(sizes, starts)
-    route = _make_router(scheduler, labels, totals, sla_s, free_at)
+    route, services, pools, first = _make_router(
+        scheduler, labels, totals, sla_s, free_at
+    )
     commit = timeline.commit
     on_dispatched = scheduler.on_batch_dispatched
 
@@ -360,7 +312,9 @@ def _simulate(
     begun, finished, codes, charged, computes, shed = [], [], [], [], [], []
     for b in range(len(starts_l)):
         now = times_l[b]
-        i, service_s, free = route(b, now)
+        i, service_s, _, server, free = route(
+            services, b, sla_s, now, pools, first[b]
+        )
         projected_start = free if free > now else now
 
         admitted_size = totals_l[b]
@@ -408,7 +362,7 @@ def _simulate(
         path = paths[i]
         device = path.device.name
         finish = projected_start + compute_s
-        commit(device, free_at[device].index(free), finish)
+        commit(device, server, finish)
         on_dispatched(path, admitted_size, projected_start, finish)
         if fresh[i]:
             fresh[i] = False

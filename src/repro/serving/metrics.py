@@ -5,7 +5,9 @@ Two aggregation modes share one metric vocabulary by construction: both
 are a tally of exact counters, and every metric is defined once over it.
 
 :class:`ServingResult`
-    Exact, record-backed — holds every :class:`QueryRecord`, folds its
+    Exact, record-backed — holds every outcome (as the kernel's
+    :class:`OutcomeBlock` per batch until :attr:`ServingResult.records`
+    is first read, as :class:`QueryRecord` objects from then on), folds its
     tally from them, and computes percentiles from the full latency
     distribution. The right tool for paper-figure reproductions
     (thousands of queries).
@@ -42,6 +44,7 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -148,6 +151,73 @@ class QueryRecord:
         if self.dropped:
             return 0.0
         return self.size * self.accuracy / 100.0
+
+
+class OutcomeBlock(NamedTuple):
+    """One dispatched batch's served outcomes, built once per batch.
+
+    ``queries`` are the admitted queries in commit (arrival) order; their
+    ``index``, ``size`` and ``arrival_s`` are the block's per-query
+    columns, and ``slas`` holds each one's SLA target when the scenario
+    has tenant targets (None: every member is judged by ``sla_s``). The
+    rest are the batch's scalars: start and finish, path label and
+    accuracy, the batch's energy, and the admitted query ``count`` and
+    sample ``size`` that split the energy by size across the members (a
+    lone member keeps it exactly, as the kernel's ``apportion_energy``
+    does). A sub-block (one home region's members: the block with its
+    ``queries`` and ``slas`` replaced) keeps the batch's scalars, so its
+    members' energies are the ones they have in the whole block.
+    """
+
+    queries: list
+    slas: list[float] | None
+    sla_s: float
+    start_s: float
+    finish_s: float
+    path_label: str
+    accuracy: float
+    energy_j: float
+    count: int
+    size: int
+
+    def sla_column(self) -> list[float]:
+        """Each member's SLA target."""
+        if self.slas is None:
+            return [self.sla_s] * len(self.queries)
+        return self.slas
+
+    def energies(self) -> list[float]:
+        """Each member's share of the batch's energy, by sample count."""
+        energy = self.energy_j
+        if self.count == 1:
+            return [energy] * len(self.queries)
+        size = self.size
+        return [energy * q.size / size for q in self.queries]
+
+    def outcomes(self) -> list[tuple]:
+        """The members as sink outcome rows: ``(index, size, arrival_s,
+        start_s, finish_s, path_label, accuracy, energy_j, dropped,
+        sla_s)``."""
+        start, finish = self.start_s, self.finish_s
+        label, accuracy = self.path_label, self.accuracy
+        return [
+            (q.index, q.size, q.arrival_s, start, finish, label, accuracy,
+             energy, False, sla)
+            for q, energy, sla in zip(
+                self.queries, self.energies(), self.sla_column()
+            )
+        ]
+
+
+def _records_of(entry, default_sla: float) -> list[QueryRecord]:
+    """A log entry (a block, or one outcome row) as records. Only
+    tenant-specific targets are stamped on a record, so single-SLA runs
+    stay identical to the reference loop's."""
+    rows = entry.outcomes() if type(entry) is OutcomeBlock else (entry,)
+    return [
+        QueryRecord(*row[:9], None if row[9] == default_sla else row[9])
+        for row in rows
+    ]
 
 
 class _Tally:
@@ -375,45 +445,86 @@ class _Tally:
         }
 
 
-@dataclass
 class ServingResult(_Tally):
     """Aggregated outcome of one simulated serving run.
 
-    ``records`` holds every :class:`QueryRecord` and is the exact oracle
-    the other modes are checked against.  Records only ever grow: the
-    tally behind the metrics is folded from the ones appended since the
-    last read, through the vector twin one path label at a time, and
-    percentiles are exact over every served latency.
+    The record sink hands it one :class:`OutcomeBlock` per served batch
+    and one outcome row per shed query, which it keeps in commit order.
+    ``records`` is every outcome as a :class:`QueryRecord`, in that
+    order, and the exact oracle the other modes are checked against: it
+    is built when first read, and from then on the list itself is the
+    log, so callers may append to it and later outcomes are appended as
+    records. A result made with ``records=`` starts from that list.
+    Outcomes only ever grow: the tally behind the metrics is folded from
+    the ones added since the last read, grouped by (path label, shed) in
+    first-appearance order, through the vector twin one group at a time,
+    and percentiles are exact over every served latency.
     """
 
-    scheduler_name: str
-    sla_s: float
-    records: list[QueryRecord] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self, scheduler_name: str, sla_s: float,
+        records: list[QueryRecord] | None = None,
+    ) -> None:
         super().__init__()
-        self._folded = 0
+        self.scheduler_name = scheduler_name
+        self.sla_s = sla_s
+        self._records = records  # None until first read
+        self._log: list = []  # blocks and rows, while ``_records`` is None
+        self._folded = 0  # log entries folded into the tally
+        self._folded_rows = 0  # outcomes (records) folded into the tally
         self._latencies: list[np.ndarray] = []
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.scheduler_name, self.sla_s, self.records) == (
+            other.scheduler_name, other.sla_s, other.records
+        )
+
+    __hash__ = None
+
+    def _append(self, entry) -> None:
+        """Add one outcome block, or one outcome row (a sink ``observe``
+        argument tuple), in commit order."""
+        if self._records is None:
+            self._log.append(entry)
+        else:
+            self._records += _records_of(entry, self.sla_s)
+
+    @property
+    def records(self) -> list[QueryRecord]:
+        """Every outcome as a :class:`QueryRecord`, in commit order."""
+        if self._records is None:
+            records: list[QueryRecord] = []
+            for entry in self._log:
+                records += _records_of(entry, self.sla_s)
+            self._records = records
+            self._log = []
+        return self._records
+
     def _settle(self) -> None:
-        """Fold the records appended since the last read."""
-        records = self.records
-        if len(records) == self._folded:
-            return
-        groups: defaultdict[tuple[str, bool], list] = defaultdict(list)
-        for record in records[self._folded:]:
-            groups[record.path_label, record.dropped].append(record)
-        self._folded = len(records)
+        """Fold the outcomes added since the last read."""
+        if self._records is None:
+            added = self._log[self._folded:]
+            self._folded = len(self._log)
+            columns = _log_columns
+        else:
+            added = self._records[self._folded_rows:]
+            columns = _record_columns
+        groups: defaultdict[tuple, list] = defaultdict(list)
+        for entry in added:
+            groups[_group_of(entry)].append(entry)
+        folds = [(key, columns(group)) for key, group in groups.items()]
+        self._folded_rows += sum(len(cols[0]) for _, cols in folds)
         default_sla = self.sla_s
-        for (label, dropped), group in groups.items():
+        for (label, dropped), cols in folds:
+            sizes, arrivals, finishes, accuracies, energies, slas = cols
             latency = self._count_block(
-                np.array([r.size for r in group], dtype=np.int64),
-                np.array([r.arrival_s for r in group]),
-                np.array([r.finish_s for r in group]), label,
-                np.array([r.accuracy for r in group]),
-                np.array([r.energy_j for r in group]), dropped,
-                np.array([default_sla if r.sla_s is None else r.sla_s
-                          for r in group]),
+                np.array(sizes, dtype=np.int64), np.array(arrivals),
+                np.array(finishes), label, np.array(accuracies),
+                np.array(energies), dropped,
+                np.array([default_sla if sla is None else sla
+                          for sla in slas]),
             )
             if latency is not None:
                 self._latencies.append(latency)
@@ -431,6 +542,50 @@ class ServingResult(_Tally):
     # Each result type keeps ``summary`` in its own namespace, so a tracer
     # can wrap one type's summary without touching the other's.
     summary = _Tally.summary
+
+
+def _group_of(entry) -> tuple:
+    """A block's, row's or record's (path label, shed) group."""
+    if type(entry) is OutcomeBlock:
+        return entry.path_label, False
+    if type(entry) is QueryRecord:
+        return entry.path_label, entry.dropped
+    return entry[5], entry[8]
+
+
+def _log_columns(entries) -> tuple[list, ...]:
+    """One group's columns from its blocks and rows, member by member."""
+    sizes, arrivals, finishes, accuracies, energies, slas = (
+        [], [], [], [], [], []
+    )
+    for entry in entries:
+        if type(entry) is OutcomeBlock:
+            queries = entry.queries
+            m = len(queries)
+            sizes += [q.size for q in queries]
+            arrivals += [q.arrival_s for q in queries]
+            finishes += [entry.finish_s] * m
+            accuracies += [entry.accuracy] * m
+            energies += entry.energies()
+            slas += entry.sla_column()
+        else:
+            sizes.append(entry[1])
+            arrivals.append(entry[2])
+            finishes.append(entry[4])
+            accuracies.append(entry[6])
+            energies.append(entry[7])
+            slas.append(entry[9])
+    return sizes, arrivals, finishes, accuracies, energies, slas
+
+
+def _record_columns(records) -> tuple[list, ...]:
+    """One group's columns from its records (an SLA of None is the run's
+    target)."""
+    return (
+        [r.size for r in records], [r.arrival_s for r in records],
+        [r.finish_s for r in records], [r.accuracy for r in records],
+        [r.energy_j for r in records], [r.sla_s for r in records],
+    )
 
 
 class P2Quantile:

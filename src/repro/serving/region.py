@@ -312,8 +312,9 @@ class _GeoSink:
     currently served away from home; it is folded into the query's
     finish time here — once, exactly when the outcome is observed — so
     every downstream percentile sees the true client-experienced
-    latency.  When nothing in a batch crossed the WAN the whole batch is
-    delegated to the wrapped sinks' ``observe_all``, preserving the
+    latency.  When nothing in a batch crossed the WAN the whole block
+    goes to the global sink, and each home region gets one sub-block of
+    its members (the whole block when they share a home), preserving the
     streaming sink's vectorized fold (and 1-region bit-exactness).
     ``homes[index]`` is query ``index``'s home region, a Python int.
     """
@@ -328,42 +329,55 @@ class _GeoSink:
 
     def observe(self, index, size, arrival_s, start_s, finish_s, path_label,
                 accuracy, energy_j, dropped, sla_s) -> None:
-        """Fold one outcome (a drop) into every tier, as a batch of one."""
-        self.observe_all(((index, size, arrival_s, start_s, finish_s,
-                           path_label, accuracy, energy_j, dropped, sla_s),))
+        """Fold one outcome (a drop) into every tier."""
+        self._fan_out(((index, size, arrival_s, start_s, finish_s,
+                        path_label, accuracy, energy_j, dropped, sla_s),))
 
-    def observe_all(self, outcomes) -> None:
-        """Fold one batch, vectorized whenever no member crossed the WAN.
+    def _fan_out(self, outcomes) -> None:
+        """Fold outcomes one by one: each goes to the global sink, then
+        its home region's, then the cross-region sink if it crossed."""
+        pop = self.crossed.pop
+        homes = self._homes
+        inner = self.inner.observe
+        regional = [sink.observe for sink in self._region_sinks]
+        cross = self._cross.observe
+        for outcome in outcomes:
+            extra = pop(outcome[0], None)
+            if extra is not None:  # finish_s pays the return leg
+                outcome = (*outcome[:4], outcome[4] + extra, *outcome[5:])
+            inner(*outcome)
+            regional[homes[outcome[0]]](*outcome)
+            if extra is not None:
+                cross(*outcome)
 
-        A batch holding a WAN-crossing query is folded outcome by
-        outcome in one loop: each goes to the global sink, then its home
-        region's, then the cross-region sink if it crossed."""
+    def observe_all(self, block) -> None:
+        """Fold one batch's block, vectorized whenever no member crossed
+        the WAN; a batch holding a WAN-crossing query is folded outcome
+        by outcome."""
+        queries = block.queries
         crossed = self.crossed
-        if crossed and any(o[0] in crossed for o in outcomes):
-            pop = crossed.pop
-            homes = self._homes
-            inner = self.inner.observe
-            regional = [sink.observe for sink in self._region_sinks]
-            cross = self._cross.observe
-            for outcome in outcomes:
-                extra = pop(outcome[0], None)
-                if extra is not None:  # finish_s pays the return leg
-                    outcome = (*outcome[:4], outcome[4] + extra, *outcome[5:])
-                inner(*outcome)
-                regional[homes[outcome[0]]](*outcome)
-                if extra is not None:
-                    cross(*outcome)
+        if crossed and any(q.index in crossed for q in queries):
+            self._fan_out(block.outcomes())
             return
-        self.inner.observe_all(outcomes)
-        if len(self._region_sinks) == 1:
-            self._region_sinks[0].observe_all(outcomes)
+        self.inner.observe_all(block)
+        sinks = self._region_sinks
+        if len(sinks) == 1:
+            sinks[0].observe_all(block)
             return
         homes = self._homes
-        by_home: dict[int, list] = {}
-        for outcome in outcomes:
-            by_home.setdefault(homes[outcome[0]], []).append(outcome)
-        for home, grouped in by_home.items():
-            self._region_sinks[home].observe_all(grouped)
+        owners = [homes[q.index] for q in queries]
+        if owners.count(owners[0]) == len(owners):
+            sinks[owners[0]].observe_all(block)
+            return
+        slas = block.slas
+        by_home: dict[int, list[int]] = {}
+        for k, home in enumerate(owners):
+            by_home.setdefault(home, []).append(k)
+        for home, members in by_home.items():
+            sinks[home].observe_all(block._replace(
+                queries=[queries[k] for k in members],
+                slas=None if slas is None else [slas[k] for k in members],
+            ))
 
 
 # ---- the simulator -------------------------------------------------------

@@ -19,9 +19,11 @@ the kernel routes once per coalesced batch instead of once per query,
 which is what lets 100k+-query scenarios simulate several times faster
 than the reference loop.
 
-Metrics sinks are pluggable: :meth:`ServingSimulator.run` materializes
-every :class:`~repro.serving.metrics.QueryRecord` (exact percentiles,
-figure reproductions); :meth:`ServingSimulator.run_streaming` folds
+Metrics sinks are pluggable: :meth:`ServingSimulator.run` keeps every
+outcome and builds each :class:`~repro.serving.metrics.QueryRecord`
+when the records are first read (exact percentiles, figure
+reproductions);
+:meth:`ServingSimulator.run_streaming` folds
 outcomes into constant-memory :class:`~repro.serving.metrics.
 StreamingMetrics` so million-query runs never hold per-query state.
 
@@ -39,6 +41,7 @@ from repro.serving.engine import (
     RecordSink,
     StreamingSink,
     apportion_energy,  # noqa: F401  (canonical home: repro.serving.engine)
+    check_batching,
     query_energy,
     run_kernel,
     shed_batch,  # noqa: F401  (canonical home: repro.serving.engine)
@@ -85,10 +88,9 @@ class ServingSimulator:
         switch_controller=None,
         engine: str = "event",
     ) -> None:
-        if max_batch_size < 1:
-            raise ValueError("max_batch_size must be >= 1")
-        if not batch_timeout_s >= 0:  # also rejects nan
-            raise ValueError("batch_timeout_s must be non-negative")
+        max_batch_size, batch_timeout_s = check_batching(
+            max_batch_size, batch_timeout_s
+        )
         if engine not in ("event", "fast"):
             raise ValueError("engine must be 'event' or 'fast'")
         if engine == "fast" and switch_controller is not None:

@@ -1,5 +1,5 @@
 """Pinned ``serve`` output: one fixed-seed run per mode, one argv per
-rejection rule.
+rejection rule, and one per checked argument type that rejects a value.
 
 Every case runs :func:`repro.cli.main` in-process and records its exit
 code, stdout and stderr.  The concatenation must equal the committed
@@ -112,14 +112,31 @@ REJECTIONS = (
 )
 
 
+# One argv per checked argument type that rejects a value while parsing,
+# before any rule runs.
+PARSE_REJECTIONS = (
+    ("infinite --batch-timeout-ms",
+     ["--max-batch", "8", "--batch-timeout-ms", "inf"]),
+)
+
+
 def run_serve(argv: list[str]) -> str:
-    """One ``serve`` invocation, rendered as a golden-file block."""
+    """One ``serve`` invocation, rendered as a golden-file block.
+
+    A value rejected while parsing exits through argparse, which prints
+    its usage first; the usage wraps to the terminal's width, so only its
+    error line is kept."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["serve", *argv])
+        try:
+            code = main(["serve", *argv])
+            stderr = err.getvalue()
+        except SystemExit as exit_:
+            code = exit_.code
+            stderr = err.getvalue().splitlines(keepends=True)[-1]
     return (
         f"$ repro serve {' '.join(argv)}\nexit {code}\n"
-        f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+        f"--- stdout\n{out.getvalue()}--- stderr\n{stderr}"
     )
 
 
@@ -129,7 +146,7 @@ def render() -> str:
         f"== {name} ==\n{run_serve(argv)}" for name, argv in MODES
     ] + [
         f"== rejected: {name} ==\n{run_serve(argv + ['--queries', '10'])}"
-        for name, argv in REJECTIONS
+        for name, argv in REJECTIONS + PARSE_REJECTIONS
     ]
     return "\n".join(blocks)
 

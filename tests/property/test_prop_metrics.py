@@ -8,14 +8,31 @@ it replaced, kept verbatim (``_update``, ``_adjust``, ``_parabolic``
 and ``_linear``): the fused fold must reproduce its marker state bit
 for bit after every chunk, and a ``StreamingMetrics`` must answer every
 read bit-equal to an eager fold of each latency as it arrives.
+
+``ServingResult`` keeps one outcome block per batch and one row per shed
+query, and builds its records only when they are read. Its reference is
+the result as it was, kept verbatim too: a record per outcome built as
+it is observed, and the per-record ``_settle`` folding the records
+appended since the last read.
 """
+
+from collections import defaultdict
 
 import numpy as np
 from hypothesis import given, strategies as st
 
 from tests.property.budget import prop_settings
 
-from repro.serving.metrics import P2Quantile, ReservoirSampler, StreamingMetrics
+from repro.data.queries import Query
+from repro.serving.engine import RecordSink
+from repro.serving.metrics import (
+    OutcomeBlock,
+    P2Quantile,
+    QueryRecord,
+    ReservoirSampler,
+    StreamingMetrics,
+    _Tally,
+)
 
 
 class _ReferenceP2(P2Quantile):
@@ -255,3 +272,157 @@ def test_deferred_folds_read_like_eager_folds(ops):
     assert metrics.summary()["p99_latency_ms"] == eager.percentile(99.0) * 1e3
     assert metrics._reservoir._sample == eager.reservoir._sample
     assert metrics._reservoir.count == eager.reservoir.count
+
+
+# ---- records on read against the per-record result --------------------------
+
+
+class _RecordResult(_Tally):
+    """``ServingResult`` as it was: the record sink built a record per
+    outcome as it was observed, and ``_settle`` folded the records
+    appended since the last read, grouped by (label, dropped)."""
+
+    def __init__(self, scheduler_name, sla_s):
+        super().__init__()
+        self.scheduler_name = scheduler_name
+        self.sla_s = sla_s
+        self.records = []
+        self._folded = 0
+        self._latencies = []
+
+    def observe(self, index, size, arrival_s, start_s, finish_s, path_label,
+                accuracy, energy_j, dropped, sla_s):
+        self.records.append(QueryRecord(
+            index, size, arrival_s, start_s, finish_s, path_label, accuracy,
+            energy_j, dropped,
+            None if sla_s == self.sla_s else sla_s,
+        ))
+
+    def _settle(self) -> None:
+        """Fold the records appended since the last read."""
+        records = self.records
+        if len(records) == self._folded:
+            return
+        groups = defaultdict(list)
+        for record in records[self._folded:]:
+            groups[record.path_label, record.dropped].append(record)
+        self._folded = len(records)
+        default_sla = self.sla_s
+        for (label, dropped), group in groups.items():
+            latency = self._count_block(
+                np.array([r.size for r in group], dtype=np.int64),
+                np.array([r.arrival_s for r in group]),
+                np.array([r.finish_s for r in group]), label,
+                np.array([r.accuracy for r in group]),
+                np.array([r.energy_j for r in group]), dropped,
+                np.array([default_sla if r.sla_s is None else r.sla_s
+                          for r in group]),
+            )
+            if latency is not None:
+                self._latencies.append(latency)
+
+    def latency_percentile(self, q: float) -> float:
+        self._settle()
+        if not self._latencies:
+            return 0.0
+        if len(self._latencies) > 1:
+            self._latencies = [np.concatenate(self._latencies)]
+        return float(np.percentile(self._latencies[0], q))
+
+    summary = _Tally.summary
+
+
+PATHS = {"A": 78.79, "B": 79.12, "C": 78.94}
+TENANT_SLAS = (0.010, 0.004, 0.025)
+result_ops = st.one_of(
+    # A served batch: its members, path, timing, energy, and how many
+    # queries and samples of its batch are elsewhere (a home region's
+    # sub-block keeps the whole batch's apportionment scalars).
+    st.tuples(
+        st.just("block"),
+        st.lists(st.tuples(st.integers(1, 300), st.integers(0, 2)),
+                 min_size=1, max_size=12),
+        st.sampled_from(sorted(PATHS)),
+        st.floats(0.0, 0.02), st.floats(1e-4, 0.03),
+        st.floats(0.0, 5.0), st.integers(0, 3), st.integers(0, 900),
+    ),
+    st.tuples(st.just("drop"), st.integers(1, 300), st.integers(0, 2)),
+    st.tuples(st.just("append"), st.integers(1, 300), st.booleans(),
+              st.floats(0.0, 0.03), st.floats(0.0, 2.0)),
+    st.tuples(st.just("summary"), st.sampled_from([50.0, 99.0, 37.5])),
+    st.just(("records",)),
+)
+
+
+@prop_settings(80)
+@given(ops=st.lists(result_ops, min_size=1, max_size=25),
+       tenants=st.booleans())
+def test_blocks_settle_like_records(ops, tenants):
+    """Random interleavings of blocks, shed rows and caller-appended
+    records, with reads in between, with or without tenant SLAs: every
+    ``summary()`` and percentile equals the per-record result's exactly,
+    and ``records`` equals the records it holds."""
+    sink = RecordSink("t", 0.010)
+    result = sink.result
+    oracle = _RecordResult("t", 0.010)
+    index = 0
+    clock = 0.0
+
+    def query(size, tenant):
+        nonlocal index, clock
+        index += 1
+        clock += 0.0007
+        return Query(index=index, size=size, arrival_s=clock,
+                     tenant=f"t{tenant}" if tenants else "")
+
+    def sla_of(q):
+        return TENANT_SLAS[int(q.tenant[1:])] if q.tenant else 0.010
+
+    for op in ops:
+        kind = op[0]
+        if kind == "block":
+            _, members, label, wait, service, energy, others, other_size = op
+            queries = [query(size, tenant) for size, tenant in members]
+            count = len(queries) + others
+            size = sum(q.size for q in queries) + (other_size if others else 0)
+            start = clock + wait
+            finish = start + service
+            slas = [sla_of(q) for q in queries] if tenants else None
+            sink.observe_all(OutcomeBlock(
+                queries, slas, 0.010, start, finish, label, PATHS[label],
+                energy, count, size,
+            ))
+            for q in queries:
+                oracle.observe(
+                    q.index, q.size, q.arrival_s, start, finish, label,
+                    PATHS[label],
+                    energy if count == 1 else energy * q.size / size,
+                    False, sla_of(q),
+                )
+        elif kind == "drop":
+            q = query(op[1], op[2])
+            row = (q.index, q.size, q.arrival_s, q.arrival_s, q.arrival_s,
+                   "DROPPED", 0.0, 0.0, True, sla_of(q))
+            sink.observe(*row)
+            oracle.observe(*row)
+        elif kind == "append":
+            _, size, dropped, latency, energy = op
+            q = query(size, 0)
+            record = QueryRecord(
+                q.index, size, q.arrival_s, q.arrival_s,
+                q.arrival_s + (0.0 if dropped else latency),
+                "DROPPED" if dropped else "A", 0.0 if dropped else PATHS["A"],
+                0.0 if dropped else energy, dropped,
+            )
+            result.records.append(record)
+            oracle.records.append(record)
+        elif kind == "summary":
+            assert result.summary() == oracle.summary()
+            assert result.latency_percentile(op[1]) == (
+                oracle.latency_percentile(op[1])
+            )
+        else:
+            assert result.records == oracle.records
+    assert result.summary() == oracle.summary()
+    assert result.records == oracle.records
+    assert result.n == oracle.n == len(oracle.records)

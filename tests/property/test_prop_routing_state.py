@@ -13,8 +13,9 @@ The one-pass forms are checked the same way against the code they
 replaced: the region tier's one wait pass per arrival and its re-home
 pick against the per-region ``wait_of``, ``RoundRobinRouter.select_node``
 against its keyed ``min``, ``DeviceTimeline.earliest`` against its keyed
-``min`` over slot indices, and ``_GeoSink.observe_all`` against its
-per-outcome re-entry of ``observe``.
+``min`` over slot indices, and ``_GeoSink.observe_all``, fed one
+outcome block per batch, against its per-outcome re-entry of
+``observe`` over the per-query tuples dispatch built before blocks.
 
 The fleet's routing inputs are checked against the code they replaced
 too: the autopilot's ``route_miss_s``, priced once per membership epoch,
@@ -50,6 +51,8 @@ from repro.serving.cluster import (
 )
 from repro.serving.controlplane import ControlPlane
 from repro.serving.devices import DeviceTimeline
+from repro.serving.engine import apportion_energy
+from repro.serving.metrics import OutcomeBlock
 from repro.serving.policies import NoShed
 from repro.serving.region import _GeoSink, _region_waits, _rehome_target
 from repro.serving.routing import (
@@ -417,7 +420,8 @@ class OracleGeoSink:
 
 
 class RecordingSink:
-    """Logs every call, with its arguments, into one shared list."""
+    """Logs every call, with its arguments, into one shared list; a block
+    is logged as its outcome rows."""
 
     def __init__(self, name, log):
         self.name = name
@@ -428,10 +432,12 @@ class RecordingSink:
         self.log.append((self.name, "observe", outcome))
 
     def observe_all(self, outcomes):
+        if isinstance(outcomes, OutcomeBlock):
+            outcomes = outcomes.outcomes()
         self.log.append((self.name, "observe_all", list(outcomes)))
 
 
-def _fan_out(cls, n_regions, homes, crossed, outcomes):
+def _fan_out(cls, n_regions, homes, crossed, feed):
     log = []
     sink = cls(
         RecordingSink("inner", log), homes,
@@ -439,20 +445,20 @@ def _fan_out(cls, n_regions, homes, crossed, outcomes):
         RecordingSink("cross", log),
     )
     sink.crossed.update(crossed)
-    sink.observe_all(outcomes)
+    feed(sink)
     return log, sink.crossed
 
 
-outcome_fields = st.tuples(
+member_fields = st.tuples(
     st.integers(1, 256),  # size
     st.sampled_from([0.0, 0.001, 0.0025]),  # arrival_s
+    st.sampled_from([0.05, 0.01]),  # tenant sla_s
+)
+batch_fields = st.tuples(
     st.sampled_from([0.003, 0.004]),  # start_s
     st.sampled_from([0.0051, 0.0093]),  # finish_s
-    st.sampled_from(["T-CPU", "DROPPED"]),
-    st.sampled_from([78.8, 0.0]),
-    st.sampled_from([0.0, 0.25, 1.5]),
-    st.booleans(),
-    st.sampled_from([0.05, 0.01]),
+    st.sampled_from([("T-CPU", 78.8), ("H-GPU", 79.1)]),
+    st.sampled_from([0.0, 0.25, 1.5]),  # the batch's energy
 )
 
 
@@ -461,18 +467,36 @@ outcome_fields = st.tuples(
     n_regions=st.integers(1, 3),
     home_draws=st.lists(st.integers(0, 2), min_size=12, max_size=12),
     picked=st.lists(st.integers(0, 11), min_size=1, max_size=6, unique=True),
-    fields=st.lists(outcome_fields, min_size=6, max_size=6),
+    members=st.lists(member_fields, min_size=6, max_size=6),
+    batch=batch_fields,
+    tenants=st.booleans(),
     crossing=st.sampled_from(["none", "some", "all"]),
     legs=st.lists(st.sampled_from([0.012, 0.02]), min_size=12, max_size=12),
     chosen=st.lists(st.booleans(), min_size=6, max_size=6),
     elsewhere=st.sets(st.integers(0, 11), max_size=3),
 )
 def test_geo_fan_out_matches_per_outcome_loop(
-    n_regions, home_draws, picked, fields, crossing, legs, chosen, elsewhere
+    n_regions, home_draws, picked, members, batch, tenants, crossing, legs,
+    chosen, elsewhere,
 ):
     homes = [h % n_regions for h in home_draws]
+    queries = [
+        Query(index=index, size=members[k][0], arrival_s=members[k][1])
+        for k, index in enumerate(picked)
+    ]
+    slas = [members[k][2] for k in range(len(picked))] if tenants else None
+    start, finish, (label, accuracy), energy = batch
+    size = sum(q.size for q in queries)
+    block = OutcomeBlock(
+        queries, slas, 0.01, start, finish, label, accuracy, energy,
+        len(queries), size,
+    )
+    # The per-query outcome tuples dispatch built before blocks.
     outcomes = [
-        (index, *fields[k]) for k, index in enumerate(picked)
+        (q.index, q.size, q.arrival_s, start, finish, label, accuracy,
+         apportion_energy(energy, q.size, len(queries), size), False,
+         slas[k] if tenants else 0.01)
+        for k, q in enumerate(queries)
     ]
     # In-flight queries of other batches may be on the wire too.
     crossed = {i: legs[i] for i in elsewhere if i not in picked}
@@ -482,8 +506,20 @@ def test_geo_fan_out_matches_per_outcome_loop(
         crossed.update({
             i: legs[i] for k, i in enumerate(picked) if chosen[k]
         })
-    assert _fan_out(_GeoSink, n_regions, homes, crossed, outcomes) == (
-        _fan_out(OracleGeoSink, n_regions, homes, crossed, outcomes)
+    assert _fan_out(
+        _GeoSink, n_regions, homes, crossed, lambda s: s.observe_all(block)
+    ) == _fan_out(
+        OracleGeoSink, n_regions, homes, crossed,
+        lambda s: s.observe_all(outcomes),
+    )
+    # A shed query goes through ``observe``, crossed or not.
+    q = queries[0]
+    drop = (q.index, q.size, q.arrival_s, q.arrival_s, q.arrival_s,
+            "DROPPED", 0.0, 0.0, True, 0.01)
+    assert _fan_out(
+        _GeoSink, n_regions, homes, crossed, lambda s: s.observe(*drop)
+    ) == _fan_out(
+        OracleGeoSink, n_regions, homes, crossed, lambda s: s.observe(*drop)
     )
 
 

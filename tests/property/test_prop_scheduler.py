@@ -1,5 +1,7 @@
 """Property-based invariants of Algorithm 2 and the serving simulator."""
 
+import math
+
 import numpy as np
 from hypothesis import given, strategies as st
 
@@ -9,6 +11,7 @@ from repro.core.online import (
     PREFERENCE_ORDER,
     GreedyLatencyScheduler,
     MultiPathScheduler,
+    PriceTable,
     StaticScheduler,
     TableSwitchScheduler,
 )
@@ -191,3 +194,85 @@ def test_settings_route_as_each_class_rule(state, preference, size, data):
         want = oracle(sched, size, sla, now, free_at)
         assert got.path is want.path, sched.name
         assert (got.service_s, got.wait_s) == (want.service_s, want.wait_s)
+
+
+# ---- the compiled rule against ``select`` ----------------------------------
+#
+# The kernel routes through the compiled rule from ``select_batch``: it must
+# return ``select``'s decision, and the slot the kernel used to scan with
+# ``DeviceTimeline.earliest`` (its body kept verbatim as the oracle).
+
+
+def oracle_earliest(pool):
+    """``DeviceTimeline.earliest`` as it was: the first minimal slot."""
+    free = min(pool)
+    return pool.index(free), free
+
+
+def same_float(a, b):
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def check_compiled(sched, size, sla, now, free_at):
+    got = sched.select_batch(size, sla, now, free_at)
+    want = sched.select(size, sla, now, free_at)
+    assert got.path is want.path, sched.name
+    assert same_float(got.service_s, want.service_s)
+    assert same_float(got.wait_s, want.wait_s)
+    server, free = oracle_earliest(free_at[got.path.device.name])
+    assert got.slot[0] == server and same_float(got.slot[1], free)
+
+
+@prop_settings(200)
+@given(
+    state=routing_states(),
+    preference=st.permutations(KINDS).flatmap(
+        lambda kinds: st.integers(0, len(kinds)).map(lambda k: kinds[:k])
+    ) | st.just(PREFERENCE_ORDER),
+    size=sizes,
+    zeros=st.lists(st.booleans(), min_size=4, max_size=4),
+    swap=st.none() | st.tuples(st.integers(0, 5), latencies),
+    data=st.data(),
+)
+def test_compiled_select_batch_matches_select(
+    state, preference, size, zeros, swap, data
+):
+    """Each built-in scheduler's compiled ``select_batch``, inside a
+    kernel run (its prices in a ``PriceTable``) and outside one, returns
+    ``select``'s path by identity, service time and wait, and the routed
+    device's first earliest-free slot, ties and -0.0 slots included; and
+    still does after ``on_switch_started`` swaps a path in mid-run."""
+    paths, now, free_at = state
+    if now == 0.0:
+        for pool in free_at.values():
+            for j in range(len(pool)):
+                if zeros[j] and pool[j] <= 0.0:
+                    pool[j] = -0.0
+    finishes = [
+        max(0.0, min(free_at[p.device.name]) - now) + p.latency(size)
+        for p in paths
+    ]
+    sla = data.draw(slas | st.sampled_from(finishes), label="sla")
+    cases = [
+        MultiPathScheduler(paths, preference),
+        StaticScheduler(paths[:1]),
+        GreedyLatencyScheduler(paths),
+    ]
+    if any(p.kind == "table" for p in paths):
+        cases.append(TableSwitchScheduler(paths))
+    for sched in cases:
+        check_compiled(sched, size, sla, now, free_at)  # outside a run
+        sched._open_run(PriceTable())
+        try:
+            check_compiled(sched, size, sla, now, free_at)
+            if swap is not None:
+                k, latency = swap
+                old = sched.paths[k % len(sched.paths)]
+                new = fake_path(
+                    old.kind, old.device, old.accuracy, latency,
+                    label=f"{old.label}'",
+                )
+                sched.on_switch_started(old.device.name, old, new, now)
+                check_compiled(sched, size, sla, now, free_at)
+        finally:
+            sched._close_run()

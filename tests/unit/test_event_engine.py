@@ -2,22 +2,33 @@
 streaming parity, and multi-tenant SLA handling."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.analysis.sharding import greedy_shard
-from repro.core.online import MultiPathScheduler, StaticScheduler
-from repro.data.queries import Query, QuerySet
-from repro.experiments.setup import build_schedulers
+from repro.core.online import MultiPathScheduler, Scheduler, StaticScheduler
+from repro.core.paths import ExecutionPath, PathProfile
+from repro.data.queries import Query, QuerySet, generate_query_set
+from repro.experiments.setup import (
+    build_regions,
+    build_schedulers,
+    follow_the_sun_scenario,
+)
 from repro.hardware.catalog import CPU_BROADWELL, GPU_V100
+from repro.hardware.latency import PriceModel
 from repro.models.configs import KAGGLE
 from repro.serving.cluster import ClusterSimulator
+from repro.serving.devices import DeviceTimeline
+from repro.serving.engine import Batcher, check_batching
 from repro.serving.fastpath import plan_batches, serve_arrays
+from repro.serving.metrics import QueryRecord
 from repro.serving.policies import DeadlineAware
 from repro.serving.simulator import ReferenceSimulator, ServingSimulator
 from repro.serving.workload import ServingScenario, TenantSpec
 
+from tests.unit.test_fastpath import FASTDAY_SERVING, FASTDAY_STREAM
 from tests.unit.test_online import fake_path
 
 
@@ -53,6 +64,57 @@ class TestConstruction:
             StaticScheduler([flat_path()]), shed_policy=DeadlineAware(slack=2.0)
         )
         assert sim.shed_policy == "deadline-aware"
+
+
+class TestBatchingDomain:
+    """One domain for the batching knobs, at every place that takes them:
+    an integral batch size of at least 1 (NumPy integers and bools pass)
+    and a finite, non-negative timeout."""
+
+    @staticmethod
+    def takers():
+        scheduler = StaticScheduler([flat_path()])
+        plan = greedy_shard([1000, 2000], 16, 2)
+        return {
+            "ServingSimulator": lambda b, t: ServingSimulator(
+                scheduler, max_batch_size=b, batch_timeout_s=t
+            ),
+            "ClusterSimulator": lambda b, t: ClusterSimulator(
+                scheduler, plan, max_batch_size=b, batch_timeout_s=t
+            ),
+            "Batcher": lambda b, t: Batcher(b, t),
+            "plan_batches": lambda b, t: plan_batches(
+                np.array([0.0, 1.0]), b, t
+            ),
+        }
+
+    @pytest.mark.parametrize("size", [2.5, 4.0, float("nan"), "4", None])
+    def test_non_integral_batch_size_is_rejected(self, size):
+        for name, take in self.takers().items():
+            with pytest.raises(ValueError, match="max_batch_size"):
+                take(size, 0.001)
+
+    @pytest.mark.parametrize("timeout_s", [-1.0, float("nan"), float("inf")])
+    def test_timeout_must_be_finite_and_non_negative(self, timeout_s):
+        for name, take in self.takers().items():
+            with pytest.raises(ValueError, match="batch_timeout_s"):
+                take(4, timeout_s)
+
+    def test_numpy_integers_and_bools_pass(self):
+        scenario = scenario_of([4] * 9, gap_s=0.0005)
+        expected = ServingSimulator(
+            MultiPathScheduler([flat_path(0.001)]), max_batch_size=4,
+            batch_timeout_s=0.001,
+        ).run(scenario).records
+        for size in (np.int64(4), np.int32(4)):
+            for engine in ("event", "fast"):
+                sim = ServingSimulator(
+                    MultiPathScheduler([flat_path(0.001)]),
+                    max_batch_size=size, batch_timeout_s=0.001, engine=engine,
+                )
+                assert type(sim.max_batch_size) is int
+                assert sim.run(scenario).records == expected
+        assert check_batching(True, 0.0) == (1, 0.0)
 
 
 class TestReferenceEquivalence:
@@ -464,3 +526,96 @@ class TestNonFiniteArrivals:
                     sim.run_streaming(scenario)
                 else:
                     sim.run(scenario)
+
+
+class TestDispatchWorkCounts:
+    """Counted work of a dispatch, not a wall clock, on the node-kernel
+    shape (20,000 queries, deadline-aware shedding, energy on) and the
+    geo-failover shape (3 regions of 2 nodes, region 1 failing). The
+    kernel routes through the compiled rule, so it never builds a
+    per-candidate decision nor rescans the routed device; it prices each
+    (path, size) once per run, service time and power alike; and it
+    builds no record until ``records`` is read. The price table is per
+    run, so a second run of the same simulator does the same work."""
+
+    @staticmethod
+    def watch(monkeypatch):
+        calls = Counter()
+        keys = {"latency": set(), "power": set()}
+
+        def count(owner, name, attr=None, key=None, key_of=None):
+            original = getattr(owner, name)
+
+            def counted(self, *args):
+                calls[attr or name] += 1
+                if key is not None:
+                    keys[key].add(key_of(self, *args))
+                return original(self, *args)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(Scheduler, "_decision")
+        count(DeviceTimeline, "earliest")
+        count(PathProfile, "latency")
+        count(PriceModel, "power")
+        count(QueryRecord, "__init__", attr="records")
+        # The run's distinct (path, size) keys: every size a path is
+        # priced at, and every admitted size a batch commits on a path.
+        count(ExecutionPath, "latency", attr="path_latency", key="latency",
+              key_of=lambda path, size: (id(path), size))
+        count(Scheduler, "on_batch_dispatched", attr="dispatched",
+              key="power", key_of=lambda _, path, size, *__: (id(path), size))
+        return calls, keys
+
+    def check_twice(self, calls, keys, run, read):
+        seen = []
+        for _ in range(2):
+            calls.clear()
+            for distinct in keys.values():
+                distinct.clear()
+            result = run()
+            assert calls["_decision"] == calls["earliest"] == 0
+            assert 0 < calls["latency"] <= len(keys["latency"])
+            assert 0 < calls["power"] <= len(keys["power"])
+            assert calls["records"] == 0
+            records, n = read(result)
+            assert len(records) == n == calls["records"]
+            seen.append(dict(calls))
+        assert seen[0] == seen[1]
+
+    def test_node_kernel_shape(self, monkeypatch):
+        calls, keys = self.watch(monkeypatch)
+        sim = ServingSimulator(
+            build_schedulers(KAGGLE)["mp-rec"], **FASTDAY_SERVING
+        )
+        scenario = ServingScenario(
+            queries=generate_query_set(**FASTDAY_STREAM), sla_s=0.010
+        )
+
+        def read(result):
+            assert 0.0 < result.summary()["drop_rate"]  # shed re-pricing ran
+            return result.records, len(scenario.queries)
+
+        self.check_twice(calls, keys, lambda: sim.run(scenario), read)
+
+    def test_geo_failover_shape(self, monkeypatch):
+        calls, keys = self.watch(monkeypatch)
+        scenario, region_of = follow_the_sun_scenario(
+            n_regions=3, n_queries=1500, qps=4500.0, seed=1
+        )
+        fail_at = scenario.queries[len(scenario.queries) // 4].arrival_s
+        sim = build_regions(
+            KAGGLE, 3, nodes_per_region=2, geo_router="spill",
+            region_replication=2, fail_region=1, fail_at=fail_at,
+            region_cache_bytes=1 << 20, cache_bytes=1 << 20,
+            max_batch_size=16, batch_timeout_s=0.002,
+        )
+
+        def read(res):
+            assert res.rehomed > 0 and res.spills > 0
+            res.summary()
+            return res.result.records, len(scenario.queries)
+
+        self.check_twice(
+            calls, keys, lambda: sim.run(scenario, region_of), read
+        )
